@@ -1,13 +1,10 @@
-//! Channel microbench matrix: `ChanMode::Mutex` vs
-//! `ChanMode::LockFree` across capacity x producers x consumers x
-//! payload x drain batch, on the `chanos-parchan` threads backend.
-//!
-//! This is the A/B evidence for the lock-free channel fast paths:
-//! the same message volume moved through both implementations, plus
-//! an E1-style RPC round-trip in both modes. Results print as
-//! markdown and are recorded to `BENCH_chan.json` (override the path
-//! with `CHANOS_BENCH_OUT`) — the first entry of the repo's perf
-//! trajectory.
+//! Channel microbench matrix: capacity x producers x consumers x
+//! payload x drain batch on the `chanos-parchan` threads backend, plus
+//! a worker-count sweep of the contended bounded case. Results print
+//! as markdown and are recorded to `BENCH_chan.json` (override the
+//! path with `CHANOS_BENCH_OUT`), stamped with the host's core count.
+//! Every row is the median of [`TRIALS`] runs, recorded with the
+//! fastest and slowest.
 //!
 //! Quick mode (`CHANOS_BENCH_MS` < 100, as in CI) shrinks the
 //! message counts so the matrix stays a smoke test.
@@ -15,29 +12,7 @@
 use std::time::Instant;
 
 use chanos_bench::harness::default_budget;
-use chanos_parchan::{
-    chan_counter, channel, channel_with_mode, reset_chan_counters, Capacity, ChanMode, Runtime,
-};
-
-/// How a run picks its channel implementation: an explicit mode, or
-/// whatever `channel()`'s default routing decides (which sends small
-/// bounded caps to the mutex core — the policy under test in the
-/// small-ring A/B section).
-#[derive(Clone, Copy, PartialEq)]
-enum Route {
-    Mode(ChanMode),
-    Default,
-}
-
-impl Route {
-    fn name(self) -> &'static str {
-        match self {
-            Route::Mode(ChanMode::LockFree) => "lock-free",
-            Route::Mode(ChanMode::Mutex) => "mutex",
-            Route::Default => "routed-default",
-        }
-    }
-}
+use chanos_parchan::{chan_counter, channel, reset_chan_counters, Capacity, Runtime};
 
 #[derive(Clone)]
 struct Case {
@@ -48,17 +23,32 @@ struct Case {
     batch: usize,
 }
 
+/// Runs per row; the row reports their median.
+const TRIALS: usize = 5;
+
 struct Row {
     case: Case,
-    mode: &'static str,
     workers: usize,
     msgs: u64,
-    nanos: u128,
+    /// Wall time of each trial, fastest first.
+    nanos: Vec<u128>,
 }
 
 impl Row {
+    fn rate(&self, nanos: u128) -> f64 {
+        self.msgs as f64 / (nanos as f64 / 1e9)
+    }
+
     fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / (self.nanos as f64 / 1e9)
+        self.rate(self.nanos[self.nanos.len() / 2])
+    }
+
+    /// `(slowest, fastest)` trial rate.
+    fn range(&self) -> (f64, f64) {
+        (
+            self.rate(self.nanos[self.nanos.len() - 1]),
+            self.rate(self.nanos[0]),
+        )
     }
 }
 
@@ -71,22 +61,18 @@ fn cap_name(c: Capacity) -> String {
 }
 
 /// Moves `msgs_per_producer * producers` messages of type `T`
-/// through one channel and returns the wall time. The payload
-/// constructor runs per message on the producer (a plain `u64` for
-/// the 8-byte cases — no allocator noise — and an owned `Vec` for
-/// the larger ones).
+/// through one channel and returns the wall time in nanoseconds. The
+/// payload constructor runs per message on the producer (a plain
+/// `u64` for the 8-byte cases — no allocator noise — and an owned
+/// `Vec` for the larger ones).
 fn run_typed<T: Send + 'static>(
     case: &Case,
-    route: Route,
     workers: usize,
     msgs_per_producer: u64,
     make: impl Fn() -> T + Clone + Send + 'static,
-) -> Row {
+) -> u128 {
     let rt = Runtime::new(workers);
-    let (tx, rx) = match route {
-        Route::Mode(mode) => channel_with_mode::<T>(case.cap, mode),
-        Route::Default => channel::<T>(case.cap),
-    };
+    let (tx, rx) = channel::<T>(case.cap);
     let total = msgs_per_producer * case.producers as u64;
 
     let t0 = Instant::now();
@@ -141,49 +127,29 @@ fn run_typed<T: Send + 'static>(
     let nanos = t0.elapsed().as_nanos();
     rt.shutdown();
     assert_eq!(got, total, "bench lost messages");
+    nanos
+}
+
+fn run_case(case: &Case, workers: usize, msgs_per_producer: u64) -> Row {
+    let mut nanos: Vec<u128> = (0..TRIALS)
+        .map(|_| {
+            if case.payload <= 8 {
+                run_typed::<u64>(case, workers, msgs_per_producer, || 0xAB)
+            } else {
+                let payload = case.payload;
+                run_typed::<Vec<u8>>(case, workers, msgs_per_producer, move || {
+                    vec![0xAB; payload]
+                })
+            }
+        })
+        .collect();
+    nanos.sort_unstable();
     Row {
         case: case.clone(),
-        mode: route.name(),
         workers,
-        msgs: total,
+        msgs: msgs_per_producer * case.producers as u64,
         nanos,
     }
-}
-
-fn run_case(case: &Case, route: Route, workers: usize, msgs_per_producer: u64) -> Row {
-    if case.payload <= 8 {
-        run_typed::<u64>(case, route, workers, msgs_per_producer, || 0xAB)
-    } else {
-        let payload = case.payload;
-        run_typed::<Vec<u8>>(case, route, workers, msgs_per_producer, move || {
-            vec![0xAB; payload]
-        })
-    }
-}
-
-/// E1-style RPC round trip (request + reply channel) in both modes;
-/// returns ns/round-trip.
-fn rpc_round_trip(mode: ChanMode, rounds: u64) -> f64 {
-    let rt = Runtime::new(2);
-    let (req_tx, req_rx) =
-        channel_with_mode::<(u64, chanos_parchan::Sender<u64>)>(Capacity::Unbounded, mode);
-    let _server = rt.spawn(async move {
-        while let Ok((x, reply)) = req_rx.recv().await {
-            let _ = reply.send(x.wrapping_mul(3)).await;
-        }
-    });
-    let t0 = Instant::now();
-    rt.block_on(async {
-        for i in 0..rounds {
-            let (rtx, rrx) = channel_with_mode::<u64>(Capacity::Bounded(1), mode);
-            req_tx.send((i, rtx)).await.unwrap();
-            std::hint::black_box(rrx.recv().await.unwrap());
-        }
-    });
-    let ns = t0.elapsed().as_nanos() as f64 / rounds as f64;
-    drop(req_tx);
-    rt.shutdown();
-    ns
 }
 
 fn json_escape_free(s: &str) -> String {
@@ -194,7 +160,6 @@ fn json_escape_free(s: &str) -> String {
 fn main() {
     let quick = default_budget() < std::time::Duration::from_millis(100);
     let msgs: u64 = if quick { 2_000 } else { 25_000 };
-    let rpc_rounds: u64 = if quick { 2_000 } else { 20_000 };
 
     let cases = [
         Case {
@@ -255,48 +220,32 @@ fn main() {
         },
     ];
 
-    println!("\n## Channel microbench: lock-free ring vs mutex (4 workers)\n");
-    println!(
-        "| capacity | prod x cons | payload | drain | mutex msgs/s | lock-free msgs/s | speedup |"
-    );
-    println!("|---|---|---|---|---|---|---|");
+    println!("\n## Channel microbench (4 workers)\n");
+    println!("| capacity | prod x cons | payload | drain | msgs/s (median) | min..max |");
+    println!("|---|---|---|---|---|---|");
 
     reset_chan_counters();
     let mut rows: Vec<Row> = Vec::new();
-    let mut key_speedup = 0.0f64;
     for case in &cases {
         let per_prod = msgs / case.producers as u64;
-        let a = run_case(case, Route::Mode(ChanMode::Mutex), 4, per_prod);
-        let b = run_case(case, Route::Mode(ChanMode::LockFree), 4, per_prod);
-        let speedup = b.msgs_per_sec() / a.msgs_per_sec();
-        // The headline acceptance case: 4p/4c bounded, plain recv.
-        if case.cap == Capacity::Bounded(64)
-            && case.producers == 4
-            && case.consumers == 4
-            && case.payload == 8
-        {
-            key_speedup = speedup;
-        }
+        let r = run_case(case, 4, per_prod);
+        let (lo, hi) = r.range();
         println!(
-            "| {} | {}x{} | {}B | {} | {:.0} | {:.0} | {:.2}x |",
+            "| {} | {}x{} | {}B | {} | {:.0} | {lo:.0}..{hi:.0} |",
             cap_name(case.cap),
             case.producers,
             case.consumers,
             case.payload,
             case.batch,
-            a.msgs_per_sec(),
-            b.msgs_per_sec(),
-            speedup,
+            r.msgs_per_sec(),
         );
-        rows.push(a);
-        rows.push(b);
+        rows.push(r);
     }
 
-    // Worker-count scaling on the headline contended case: the same
-    // message volume at 1, 2, 4, and host_cores workers, both modes.
-    // On a single-CPU host the counts timeshare one core, so the
-    // trajectory is flat there by construction — the rows exist so a
-    // multicore host records a real scaling curve under the same key.
+    // Worker-count scaling on the contended bounded case: the same
+    // message volume at 1, 2, 4, and host_cores workers. Counts above
+    // host_cores timeshare the cores, so only the rows up to it are a
+    // scaling curve.
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut worker_counts = vec![1usize, 2, 4, host_cores.max(1)];
     worker_counts.sort_unstable();
@@ -309,65 +258,18 @@ fn main() {
         batch: 1,
     };
     println!("\n## Worker-count scaling: bounded(64) 4p/4c, host_cores={host_cores}\n");
-    println!("| workers | mutex msgs/s | lock-free msgs/s | speedup |");
-    println!("|---|---|---|---|");
+    println!("| workers | msgs/s (median) | min..max |");
+    println!("|---|---|---|");
     let mut scaling_rows: Vec<Row> = Vec::new();
     for &w in &worker_counts {
         let per_prod = msgs / scaling_case.producers as u64;
-        let a = run_case(&scaling_case, Route::Mode(ChanMode::Mutex), w, per_prod);
-        let b = run_case(&scaling_case, Route::Mode(ChanMode::LockFree), w, per_prod);
-        println!(
-            "| {w} | {:.0} | {:.0} | {:.2}x |",
-            a.msgs_per_sec(),
-            b.msgs_per_sec(),
-            b.msgs_per_sec() / a.msgs_per_sec(),
-        );
-        scaling_rows.push(a);
-        scaling_rows.push(b);
+        let r = run_case(&scaling_case, w, per_prod);
+        let (lo, hi) = r.range();
+        println!("| {w} | {:.0} | {lo:.0}..{hi:.0} |", r.msgs_per_sec());
+        scaling_rows.push(r);
     }
 
-    // Small-ring A/B: bounded(4) 1p/1c under each explicit mode and
-    // under `channel()`'s default routing, which sends caps below the
-    // route threshold to the mutex core (the ring's two-word ticket
-    // protocol costs more than a futex at tiny capacities).
-    let small_case = Case {
-        cap: Capacity::Bounded(4),
-        producers: 1,
-        consumers: 1,
-        payload: 8,
-        batch: 1,
-    };
-    let small: Vec<Row> = [
-        Route::Mode(ChanMode::Mutex),
-        Route::Mode(ChanMode::LockFree),
-        Route::Default,
-    ]
-    .into_iter()
-    .map(|route| run_case(&small_case, route, 4, msgs))
-    .collect();
-    println!("\n## Small-ring routing A/B: bounded(4) 1p/1c\n");
-    println!("| implementation | msgs/s |");
-    println!("|---|---|");
-    for r in &small {
-        println!("| {} | {:.0} |", r.mode, r.msgs_per_sec());
-    }
-
-    let rpc_mutex = rpc_round_trip(ChanMode::Mutex, rpc_rounds);
-    let rpc_lf = rpc_round_trip(ChanMode::LockFree, rpc_rounds);
-    println!("\n## E1 RPC round trip on real threads\n");
-    println!("| mode | ns/round-trip |");
-    println!("|---|---|");
-    println!("| mutex | {rpc_mutex:.0} |");
-    println!("| lock-free | {rpc_lf:.0} |");
-    println!(
-        "\n4p/4c bounded(64) speedup: {key_speedup:.2}x (target >= 2x on real \
-         multicore; a single-CPU host timeshares the workers, which hides ring \
-         parallelism and makes uncontended futexes artificially cheap); \
-         RPC speedup: {:.2}x",
-        rpc_mutex / rpc_lf
-    );
-
-    println!("\n## Channel path counters (both modes, whole run)\n");
+    println!("\n## Channel path counters (whole run)\n");
     println!("| counter | value |");
     println!("|---|---|");
     for (name, v) in chanos_parchan::chan_counters() {
@@ -378,42 +280,28 @@ fn main() {
     let mut j = String::new();
     j.push_str("{\n");
     j.push_str(&format!(
-        "  \"bench\": \"chan_micro\",\n  \"quick\": {quick},\n  \"workers\": 4,\n"
+        "  \"bench\": \"chan_micro\",\n  \"quick\": {quick},\n  \"workers\": 4,\n  \"trials\": {TRIALS},\n"
     ));
     j.push_str(&format!(
-        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n  \"sched_mode\": \"work-stealing\",\n"
-    ));
-    j.push_str(&format!(
-        "  \"rpc_ns_per_round_trip\": {{\"mutex\": {rpc_mutex:.1}, \"lock_free\": {rpc_lf:.1}}},\n"
-    ));
-    j.push_str(&format!(
-        "  \"key_speedup_bounded64_4p4c\": {key_speedup:.3},\n"
-    ));
-    // Small-ring A/B (flat keys: awk-greppable like the headline).
-    j.push_str(&format!(
-        "  \"small_ring_bounded4_1p1c\": {{\"mutex_msgs_per_sec\": {:.1}, \
-         \"lock_free_msgs_per_sec\": {:.1}, \"routed_default_msgs_per_sec\": {:.1}, \
-         \"policy\": \"default routes bounded caps < 8 to the mutex core\"}},\n",
-        small[0].msgs_per_sec(),
-        small[1].msgs_per_sec(),
-        small[2].msgs_per_sec(),
+        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n"
     ));
     let emit_rows = |j: &mut String, rows: &[Row]| {
         for (i, r) in rows.iter().enumerate() {
             j.push_str(&format!(
                 "    {{\"capacity\": \"{}\", \"producers\": {}, \"consumers\": {}, \
-                 \"payload_bytes\": {}, \"drain_batch\": {}, \"mode\": \"{}\", \
-                 \"workers\": {}, \"msgs\": {}, \"nanos\": {}, \"msgs_per_sec\": {:.1}}}{}\n",
+                 \"payload_bytes\": {}, \"drain_batch\": {}, \
+                 \"workers\": {}, \"msgs\": {}, \"msgs_per_sec\": {:.1}, \
+                 \"msgs_per_sec_min\": {:.1}, \"msgs_per_sec_max\": {:.1}}}{}\n",
                 json_escape_free(&cap_name(r.case.cap)),
                 r.case.producers,
                 r.case.consumers,
                 r.case.payload,
                 r.case.batch,
-                r.mode,
                 r.workers,
                 r.msgs,
-                r.nanos,
                 r.msgs_per_sec(),
+                r.range().0,
+                r.range().1,
                 if i + 1 < rows.len() { "," } else { "" },
             ));
         }

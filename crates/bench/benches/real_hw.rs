@@ -15,9 +15,8 @@
 //!   a real task on the work-stealing scheduler.
 //! * **E14** — one OS vs a box of VM partitions, on threads: remote
 //!   shards cross the full `chanos-net` middleweight stack.
-//! * **sched** — spawn/steal microbench: per-worker run queues vs
-//!   the old single-mutex injector (`SchedMode::GlobalQueue`) on the
-//!   same yield-heavy workload.
+//! * **sched** — spawn/steal microbench: yield-heavy churn through
+//!   the per-worker run queues, with the steals it took.
 //!
 //! E4 runs against the **file-backed block device** (the threads
 //! backend's `DiskHw` store): the `disk.*` counters printed after it
@@ -26,9 +25,7 @@
 //! The paper's claims get measured on silicon, not just in the model.
 
 use chanos_bench::harness::{bench, default_budget, header};
-use chanos_parchan::{
-    channel, channel_with_mode, yield_now, Capacity, ChanMode, Runtime, SchedMode,
-};
+use chanos_parchan::{channel, yield_now, Capacity, Runtime};
 
 #[inline(never)]
 fn callee(x: u64) -> u64 {
@@ -44,35 +41,22 @@ fn bench_e1_msg_vs_call() {
         acc
     });
 
-    // A/B the channel core on the same RPC: the old mutex channels
-    // vs the lock-free ring fast paths.
-    for (mode, name) in [
-        (ChanMode::Mutex, "channel_rpc_round_trip[mutex]"),
-        (ChanMode::LockFree, "channel_rpc_round_trip[lock-free]"),
-    ] {
-        let rt = Runtime::new(2);
-        // Echo server task.
-        let (req_tx, req_rx) =
-            channel_with_mode::<(u64, chanos_parchan::Sender<u64>)>(Capacity::Unbounded, mode);
-        let _server = rt.spawn(async move {
-            while let Ok((x, reply)) = req_rx.recv().await {
-                let _ = reply.send(callee(x)).await;
-            }
-        });
-        {
-            let req_tx = req_tx.clone();
-            bench(name, budget, || {
-                let (rtx, rrx) = channel_with_mode::<u64>(Capacity::Bounded(1), mode);
-                rt.block_on(async {
-                    req_tx.send((7, rtx)).await.unwrap();
-                    rrx.recv().await.unwrap()
-                })
-            });
-        }
-        drop(req_tx);
-        rt.shutdown();
-    }
     let rt = Runtime::new(2);
+    // Echo server task.
+    let (req_tx, req_rx) = channel::<(u64, chanos_parchan::Sender<u64>)>(Capacity::Unbounded);
+    let _server = rt.spawn(async move {
+        while let Ok((x, reply)) = req_rx.recv().await {
+            let _ = reply.send(callee(x)).await;
+        }
+    });
+    bench("channel_rpc_round_trip", budget, || {
+        let (rtx, rrx) = channel::<u64>(Capacity::Bounded(1));
+        rt.block_on(async {
+            req_tx.send((7, rtx)).await.unwrap();
+            rrx.recv().await.unwrap()
+        })
+    });
+    drop(req_tx);
     let (tx, rx) = channel::<u64>(Capacity::Unbounded);
     bench("unbounded_send_then_recv_same_task", budget, || {
         rt.block_on(async {
@@ -93,31 +77,6 @@ fn bench_e3_syscalls_real_hw() {
 
     let budget = default_budget();
     header("E3 on real threads: message-kernel syscalls");
-    // A/B the whole kernel on both channel cores: boot under each
-    // default ChanMode and measure the null syscall.
-    for (mode, name) in [
-        (ChanMode::Mutex, "getpid_null_syscall[mutex]"),
-        (ChanMode::LockFree, "getpid_null_syscall[lock-free]"),
-    ] {
-        chanos_parchan::set_default_chan_mode(mode);
-        let rt = Runtime::new(4);
-        let os = rt.block_on(async {
-            boot(BootCfg::new(
-                KernelKind::Message,
-                FsKind::Message,
-                (0..2).map(CoreId).collect(),
-            ))
-            .await
-        });
-        let env = os.procs.env();
-        {
-            let rt = rt.clone();
-            bench(name, budget, move || rt.block_on(env.getpid()));
-        }
-        drop(os);
-        rt.shutdown();
-        chanos_parchan::set_default_chan_mode(ChanMode::LockFree);
-    }
     let rt = Runtime::new(4);
     let os = rt.block_on(async {
         boot(BootCfg::new(
@@ -128,6 +87,13 @@ fn bench_e3_syscalls_real_hw() {
         .await
     });
     let env = os.procs.env();
+    {
+        let env = env.clone();
+        let rt = rt.clone();
+        bench("getpid_null_syscall", budget, move || {
+            rt.block_on(env.getpid())
+        });
+    }
     {
         // Pipelined null syscalls: the server drains the burst and
         // publishes all replies under one coalesced wake per peer
@@ -196,7 +162,6 @@ struct SyscallSweep {
 
 struct StealRow {
     workers: usize,
-    mode: &'static str,
     yields_per_sec: f64,
     steals: u64,
 }
@@ -328,7 +293,7 @@ fn bench_syscall_depth_sweep() -> SyscallSweep {
 }
 
 /// Writes `BENCH_syscall.json` (hand-rolled JSON; no serde in this
-/// build) from the depth sweep and the spawn/steal A/B. Flat keys
+/// build) from the depth sweep and the spawn/steal microbench. Flat keys
 /// (`speedup_getpid_x8_vs_serial`, `steals_ws4`) stay one-per-line so
 /// CI can awk them without a JSON parser.
 fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
@@ -348,7 +313,7 @@ fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let steals_ws4 = steal
         .iter()
-        .find(|r| r.workers == 4 && r.mode == "work-stealing")
+        .find(|r| r.workers == 4)
         .map_or(0, |r| r.steals);
     let mut j = String::new();
     j.push_str("{\n");
@@ -356,7 +321,7 @@ fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
         "  \"bench\": \"syscall_depth_sweep\",\n  \"quick\": {quick},\n  \"workers\": 4,\n  \"kernel_cores\": 2,\n"
     ));
     j.push_str(&format!(
-        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n  \"sched_mode\": \"work-stealing\",\n"
+        "  \"host_cores\": {host_cores},\n  \"backend\": \"threads\",\n"
     ));
     j.push_str(&format!(
         "  \"speedup_getpid_x8_vs_serial\": {:.3},\n  \"speedup_read_x8_vs_serial\": {:.3},\n",
@@ -385,10 +350,8 @@ fn record_syscall_json(sweep: &SyscallSweep, steal: &[StealRow]) {
     j.push_str("  ],\n  \"spawn_steal\": [\n");
     for (i, r) in steal.iter().enumerate() {
         j.push_str(&format!(
-            "    {{\"workers\": {}, \"scheduler\": \"{}\", \"yields_per_sec\": {:.1}, \
-             \"steals\": {}}}{}\n",
+            "    {{\"workers\": {}, \"yields_per_sec\": {:.1}, \"steals\": {}}}{}\n",
             r.workers,
-            r.mode,
             r.yields_per_sec,
             r.steals,
             if i + 1 < steal.len() { "," } else { "" },
@@ -1018,54 +981,48 @@ fn bench_spawn_steal_microbench() -> Vec<StealRow> {
     let quick = default_budget() < std::time::Duration::from_millis(100);
     let yields: u64 = if quick { 200 } else { 2_000 };
 
-    println!("\n## Scheduler microbench: per-worker queues + stealing vs single-mutex injector\n");
-    println!("| workers | scheduler | yields/sec | steals |");
-    println!("|---|---|---|---|");
+    println!("\n## Scheduler microbench: per-worker queues + stealing\n");
+    println!("| workers | yields/sec | steals |");
+    println!("|---|---|---|");
     let mut out = Vec::new();
     for workers in worker_sweep() {
-        for (mode, name) in [
-            (SchedMode::GlobalQueue, "global-queue"),
-            (SchedMode::WorkStealing, "work-stealing"),
-        ] {
-            let rt = Runtime::with_mode(workers, mode);
-            let tasks = 64u64 * workers as u64;
-            let t0 = std::time::Instant::now();
-            // Seed from one worker (local-queue path), then churn:
-            // every yield is one trip through the dispatch path.
-            let seeder = rt.spawn(async move {
-                let hd = chanos_parchan::current().expect("on runtime");
-                let children: Vec<_> = (0..tasks)
-                    .map(|_| {
-                        hd.spawn(async move {
-                            for _ in 0..yields {
-                                yield_now().await;
-                            }
-                        })
+        let rt = Runtime::new(workers);
+        let tasks = 64u64 * workers as u64;
+        let t0 = std::time::Instant::now();
+        // Seed from one worker (local-queue path), then churn: every
+        // yield is one trip through the dispatch path.
+        let seeder = rt.spawn(async move {
+            let hd = chanos_parchan::current().expect("on runtime");
+            let children: Vec<_> = (0..tasks)
+                .map(|_| {
+                    hd.spawn(async move {
+                        for _ in 0..yields {
+                            yield_now().await;
+                        }
                     })
-                    .collect();
-                for c in children {
-                    let _ = c.join().await;
-                }
-            });
-            seeder.join_blocking().expect("seeder");
-            let dt = t0.elapsed();
-            let total = tasks * yields;
-            // Tasks actually migrated, not batches: the gate below
-            // ("work-stealing mode must steal at 4 workers") wants
-            // evidence of cross-worker traffic, however it batches.
-            let steals = rt.handle().stat_get("sched.steals");
-            println!(
-                "| {workers} | {name} | {:.0} | {steals} |",
-                total as f64 / dt.as_secs_f64(),
-            );
-            out.push(StealRow {
-                workers,
-                mode: name,
-                yields_per_sec: total as f64 / dt.as_secs_f64(),
-                steals,
-            });
-            rt.shutdown();
-        }
+                })
+                .collect();
+            for c in children {
+                let _ = c.join().await;
+            }
+        });
+        seeder.join_blocking().expect("seeder");
+        let dt = t0.elapsed();
+        let total = tasks * yields;
+        // Tasks actually migrated, not batches: the gate below ("must
+        // steal at 4 workers") wants evidence of cross-worker
+        // traffic, however it batches.
+        let steals = rt.handle().stat_get("sched.steals");
+        println!(
+            "| {workers} | {:.0} | {steals} |",
+            total as f64 / dt.as_secs_f64(),
+        );
+        out.push(StealRow {
+            workers,
+            yields_per_sec: total as f64 / dt.as_secs_f64(),
+            steals,
+        });
+        rt.shutdown();
     }
     out
 }

@@ -2,9 +2,9 @@
 //! and facade lint for the chanos lock-free core.
 //!
 //! The crates this workspace stacks on top of `parchan` all ride on
-//! roughly 4k lines of hand-rolled lock-free code: the Vyukov ring
-//! and spill path in `chan.rs`, the oneshot CAS waker slots and
-//! recycling pool, and the executor's Dekker-style spin-then-park.
+//! hand-rolled lock-free code: the oneshot CAS waker slots and
+//! recycling pool, the scheduler's run queues and injector, and the
+//! executor's Dekker-style park/unpark handshake.
 //! Stress tests *sample* that state space; this crate *enumerates*
 //! it (up to a preemption bound) and proves schedule-level protocol
 //! properties — no lost wakes, no double resolve, no deadlock, model

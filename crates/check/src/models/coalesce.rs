@@ -63,9 +63,9 @@ pub fn coalesce_model(mutant: Mutant, n_replies: usize) {
         let mut buffered_wake = false;
         let mut wakes_sent = 0usize;
         for _ in 0..n_replies {
-            // `after_push` with an active scope: publish, fence,
-            // scan; a positive scan claims the registration and
-            // buffers (or coalesces) instead of waking.
+            // A send with an active scope: publish, fence, scan; a
+            // positive scan claims the registration and buffers (or
+            // coalesces) instead of waking.
             sch.msgs.fetch_add(1, Ordering::SeqCst);
             fence(Ordering::SeqCst);
             if sch.recv_parked.load(Ordering::SeqCst) > 0 {
@@ -84,7 +84,7 @@ pub fn coalesce_model(mutant: Mutant, n_replies: usize) {
                 }
             }
             // Let the client interleave between replies (the real
-            // server does ring pushes and reply formatting here).
+            // server does channel sends and reply formatting here).
             thread::yield_now();
         }
         // `WakeScopeGuard::drop`: flush on scope exit.

@@ -23,5 +23,4 @@ pub mod nr;
 pub mod oneshot;
 pub mod parking;
 pub mod priority;
-pub mod ring;
 pub mod steal;

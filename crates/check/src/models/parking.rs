@@ -1,13 +1,14 @@
-//! Model of the spin-then-park / post-publish wake Dekker pair.
+//! Model of the executor's park/unpark Dekker pair.
 //!
-//! mirrors: `parchan/src/chan.rs` — `Ring::after_push`,
-//! `poll_ring_recv`'s park-then-re-pop tail, `Ring::park_recv`;
-//! the same shape guards `executor.rs`'s `worker_loop` park protocol
-//! against `RtInner::try_unpark`.
+//! mirrors: `parchan/src/executor.rs` — `worker_loop`'s park tail
+//! (`IdleSet::register` → SeqCst fence → `RtInner::has_work`
+//! re-sweep) against `RtInner::notify_work` (publish → SeqCst fence
+//! → idle-mask scan → wake). `msgs` stands for the run queues and
+//! `recv_parked` for the worker's idle bit.
 //!
-//! The invariant under test is the one the `after_push` comment
-//! states: *either the producer observes `recv_parked > 0` (and
-//! wakes), or the parker's re-pop observes the message*. Both sides
+//! The invariant under test is the one the `worker_loop` comment
+//! states: *either the producer observes the registration (and
+//! wakes), or the parker's re-check observes the work*. Both sides
 //! being SeqCst (register → fence → re-check vs publish → fence →
 //! scan) is what makes the "both miss" outcome impossible; every
 //! mutant here re-creates a way for both to miss, and the checker
@@ -42,17 +43,16 @@ pub enum Mutant {
 }
 
 struct Chan {
-    /// Published-message count (stands in for the ring's visible
-    /// tail advance).
+    /// Published work (stands in for the run queues).
     msgs: AtomicUsize,
-    /// The `recv_parked` registration count.
+    /// The idle registration (stands in for the worker's idle bit).
     recv_parked: AtomicUsize,
 }
 
-/// One producer publishes `n_msgs` messages with the `after_push`
+/// One producer publishes `n_msgs` items with the `notify_work`
 /// wake protocol; the consumer (model root, thread 0) takes them with
-/// the spin-then-park protocol. Every schedule must deliver all
-/// messages with nobody left parked.
+/// the register-then-recheck park protocol. Every schedule must
+/// deliver all items with nobody left parked.
 pub fn parking_model(mutant: Mutant, n_msgs: usize) {
     let ch = Arc::new(Chan {
         msgs: AtomicUsize::new(0),
@@ -76,7 +76,7 @@ pub fn parking_model(mutant: Mutant, n_msgs: usize) {
                     thread::unpark(consumer_tid);
                 }
             } else {
-                // `after_push`: publish, fence, scan, wake-if-parked.
+                // `notify_work`: publish, fence, scan, wake-if-parked.
                 pch.msgs.fetch_add(1, rmw_ord);
                 if mutant != Mutant::RelaxedDekker {
                     fence(Ordering::SeqCst);
@@ -105,15 +105,15 @@ pub fn parking_model(mutant: Mutant, n_msgs: usize) {
             got += 1;
             continue;
         }
-        // Register as parked (park_recv), then re-check behind the
-        // fence that pairs with the producer's.
+        // Register as idle (`IdleSet::register`), then re-check
+        // behind the fence that pairs with the producer's.
         ch.recv_parked.fetch_add(1, rmw_ord);
         if mutant != Mutant::RelaxedDekker {
             fence(Ordering::SeqCst);
         }
         if mutant != Mutant::ConsumerNoRecheck && try_pop(&ch) {
-            // Deregister (unpark_recv); a wake already sent to us
-            // becomes a stale token the next park shrugs off.
+            // Deregister (`IdleSet::deregister`); a wake already sent
+            // to us becomes a stale token the next park shrugs off.
             ch.recv_parked.fetch_sub(1, rmw_ord);
             got += 1;
             continue;

@@ -4,7 +4,7 @@
 //! same failure (the property that turns any future counterexample
 //! into a checked-in regression test).
 
-use chanos_check::models::{coalesce, nr, oneshot, parking, priority, ring, steal};
+use chanos_check::models::{coalesce, nr, oneshot, parking, priority, steal};
 use chanos_check::{Config, Explorer, FailureKind};
 
 fn explorer() -> Explorer {
@@ -36,38 +36,7 @@ where
     assert_eq!(replayed.kind, failure.kind, "replay diverged: {replayed}");
 }
 
-// --- ring: ticket-claim / slot-publish vs concurrent recv ---------------
-
-#[test]
-fn ring_spsc_verifies() {
-    let report = explorer().check(|| ring::ring_spsc_model(ring::Mutant::None));
-    report.assert_ok();
-    assert!(report.schedules > 0);
-}
-
-#[test]
-fn ring_mpsc_claim_verifies() {
-    let report = explorer().check(|| ring::ring_mpsc_claim_model(ring::Mutant::None));
-    report.assert_ok();
-}
-
-#[test]
-fn ring_mutant_publish_before_write_caught() {
-    assert_caught(
-        || ring::ring_spsc_model(ring::Mutant::PublishBeforeWrite),
-        &[FailureKind::Panic],
-    );
-}
-
-#[test]
-fn ring_mutant_claim_store_not_cas_caught() {
-    assert_caught(
-        || ring::ring_mpsc_claim_model(ring::Mutant::ClaimStoreNotCas),
-        &[FailureKind::Panic],
-    );
-}
-
-// --- parking: spin-then-park vs post-publish wake (Dekker pair) ---------
+// --- parking: executor park vs post-publish wake (Dekker pair) ----------
 
 #[test]
 fn parking_verifies() {

@@ -61,8 +61,8 @@ use chanos_rt::{self as rt, port_channel, Call, CallError, Capacity, CoreId, Por
 // Mode switch.
 // ---------------------------------------------------------------------------
 
-/// Which shape a replicated service takes (the `SchedMode`/`ChanMode`
-/// A/B pattern).
+/// Which shape a replicated service takes: the paper's replicated
+/// design or the single-server baseline it is measured against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NrMode {
     /// One server task owns the state; every read and write is a port

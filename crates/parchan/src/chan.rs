@@ -3,42 +3,23 @@
 //! cancel-safe futures (usable as `choose!` arms), close on either
 //! side.
 //!
-//! # Fast paths ([`ChanMode::LockFree`], the default)
+//! # One core
 //!
-//! The paper's bet is that messaging can be cheap enough to structure
-//! an OS around. The original implementation serialized every channel
-//! operation on one `Mutex<State>`, so on real hardware a "send" was
-//! mostly a lock handoff. The default implementation now keeps the
-//! channel mutex off the common path entirely:
+//! Every channel is one `Mutex<State>`: the message queue, the keyed
+//! wakers of parked receivers and senders, the endpoint counts and
+//! the closed flag. Each operation takes the lock once, moves a value
+//! or registers its waker, and wakes only peers it unblocked: a send
+//! wakes one parked receiver, a receive wakes one space-waiting
+//! sender per slot it freed, and `close` or the last endpoint drop
+//! wakes everyone. Because registration and wake happen under the
+//! same lock, a wake cannot be lost, and cancelled futures
+//! (`choose!` losers) deregister on drop and pass any consumed wake
+//! on while messages remain.
 //!
-//! * **Bounded** channels are a Vyukov-style slot ring: each slot
-//!   carries a lap stamp, `head`/`tail` are claim tickets, and a
-//!   send or receive is one CAS plus one store — no lock, no
-//!   syscall, exact logical capacity.
-//! * **Unbounded** channels are the same ring used as the head
-//!   segment, with a mutex-guarded spill deque behind it. The lock is
-//!   touched only while a burst exceeds the ring (and the
-//!   `overflow_len` flag routes new sends behind the spilled ones, so
-//!   per-producer FIFO is preserved).
-//! * **Clone/drop/close/len** use atomic refcounts and flags.
-//! * **Parking is the slow path**: a future that finds the ring
-//!   full/empty takes the small `slow` mutex, registers its waker,
-//!   and *re-checks the ring* before returning `Pending` (SeqCst
-//!   fences pair the producer's publish with the consumer's park, so
-//!   a wake can never be lost).
-//! * **Wakes are coalesced**: a sender only touches the waiter list
-//!   when `recv_parked > 0`. In the steady state where receivers keep
-//!   up (the empty→nonempty edge never fires because nobody parks),
-//!   sends perform no wake work at all; `chan.wakes_elided` counts
-//!   how often.
-//!
-//! **Rendezvous** channels (and the degenerate `Bounded(0)`) stay on
-//! the mutex implementation: a rendezvous is a synchronization point
-//! by definition, so there is no lock-free common case to win.
-//!
-//! [`ChanMode::Mutex`] keeps the original implementation for every
-//! capacity so benchmarks can A/B the two designs on identical
-//! workloads (`cargo bench -p chanos-bench --bench chan_micro`).
+//! A lock-free slot ring for bounded and unbounded channels measured
+//! no end-to-end gain over this core on the `perfbench` workloads
+//! (sharded KV serving and booted-kernel syscall chains), so there is
+//! no second implementation and no mode switch.
 //!
 //! # Batched drains
 //!
@@ -48,11 +29,9 @@
 //! OS server loops (syscall servers, vnode tasks, cache shards,
 //! drivers) drain through these.
 
-use crate::sync::{fence, Arc, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Mutex, Ordering};
-use std::cell::UnsafeCell;
+use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
 use std::collections::VecDeque;
 use std::future::Future;
-use std::mem::MaybeUninit;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
@@ -110,38 +89,6 @@ pub enum TryRecvError {
     Closed,
 }
 
-/// Which channel implementation a [`channel_with_mode`] call gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChanMode {
-    /// Lock-free slot ring for bounded/unbounded (the default).
-    LockFree,
-    /// The original one-mutex-per-channel implementation; kept for
-    /// A/B benchmarking.
-    Mutex,
-}
-
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default [`ChanMode`] used by [`channel`].
-pub fn set_default_chan_mode(mode: ChanMode) {
-    // Relaxed: a standalone config byte; it guards no other memory.
-    DEFAULT_MODE.store(
-        match mode {
-            ChanMode::LockFree => 0,
-            ChanMode::Mutex => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Reads the process-wide default [`ChanMode`].
-pub fn default_chan_mode() -> ChanMode {
-    match DEFAULT_MODE.load(Ordering::Relaxed) {
-        0 => ChanMode::LockFree,
-        _ => ChanMode::Mutex,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fast-path / slow-path statistics (process-global, Relaxed).
 // ---------------------------------------------------------------------------
@@ -152,8 +99,6 @@ static FAST_RECVS: AtomicU64 = AtomicU64::new(0);
 static SLOW_RECVS: AtomicU64 = AtomicU64::new(0);
 static RECV_WAKES: AtomicU64 = AtomicU64::new(0);
 static SEND_WAKES: AtomicU64 = AtomicU64::new(0);
-static WAKES_ELIDED: AtomicU64 = AtomicU64::new(0);
-static OVERFLOW_SPILLS: AtomicU64 = AtomicU64::new(0);
 static RECV_MANY_CALLS: AtomicU64 = AtomicU64::new(0);
 static RECV_MANY_MSGS: AtomicU64 = AtomicU64::new(0);
 static SEND_MANY_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -250,19 +195,15 @@ pub fn coalesce_wakes<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// All channel counters: `(name, value)` pairs. The counters are
-/// process-global (channels are not tied to one runtime) and cover
-/// both [`ChanMode`]s, so A/B runs can compare path mixes.
+/// process-global (channels are not tied to one runtime).
 ///
 /// * `chan.fast_sends` / `chan.fast_recvs` — operations that
-///   completed on their first poll without parking.
+///   completed without parking: a `send`/`recv`/`recv_many` ready on
+///   its first poll, or a successful `try_send`/`try_recv`.
 /// * `chan.slow_sends` / `chan.slow_recvs` — operations that parked
 ///   (registered a waker) at least once.
 /// * `chan.recv_wakes` / `chan.send_wakes` — wakeups issued to parked
 ///   peers.
-/// * `chan.wakes_elided` — sends that skipped all wake work because
-///   no receiver was parked (the coalesced steady state).
-/// * `chan.overflow_spills` — unbounded sends that overflowed the
-///   ring segment into the spill deque (took the lock).
 /// * `chan.recv_many_calls` / `chan.recv_many_msgs` — batched drains
 ///   and the messages they moved.
 /// * `chan.send_many_calls` / `chan.send_many_msgs` — batched submits
@@ -277,11 +218,6 @@ pub fn chan_counters() -> Vec<(&'static str, u64)> {
         ("chan.slow_recvs", SLOW_RECVS.load(Ordering::Relaxed)),
         ("chan.recv_wakes", RECV_WAKES.load(Ordering::Relaxed)),
         ("chan.send_wakes", SEND_WAKES.load(Ordering::Relaxed)),
-        ("chan.wakes_elided", WAKES_ELIDED.load(Ordering::Relaxed)),
-        (
-            "chan.overflow_spills",
-            OVERFLOW_SPILLS.load(Ordering::Relaxed),
-        ),
         (
             "chan.recv_many_calls",
             RECV_MANY_CALLS.load(Ordering::Relaxed),
@@ -323,8 +259,6 @@ pub fn reset_chan_counters() {
         &SLOW_RECVS,
         &RECV_WAKES,
         &SEND_WAKES,
-        &WAKES_ELIDED,
-        &OVERFLOW_SPILLS,
         &RECV_MANY_CALLS,
         &RECV_MANY_MSGS,
         &SEND_MANY_CALLS,
@@ -341,66 +275,17 @@ fn fresh_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-// ---------------------------------------------------------------------------
-// Shared channel object: one of two implementations.
-// ---------------------------------------------------------------------------
-
-enum Imp<T> {
-    /// The original design: everything under one mutex. Used for
-    /// `ChanMode::Mutex`, `Rendezvous`, and the degenerate
-    /// `Bounded(0)`.
-    Mutex(Mutex<State<T>>),
-    /// Lock-free ring fast paths (bounded / unbounded).
-    Ring(Ring<T>),
-}
-
-struct Shared<T> {
-    imp: Imp<T>,
-}
-
-/// Tiny bounded rings lose to the mutex core: with at most a
-/// handful of slots the ring is effectively always full or always
-/// empty, so senders/receivers burn their bounded-retry budget on
-/// lap conflicts and fall to the slow path anyway, while the mutex
-/// core resolves the same conflict with one uncontended lock
-/// (`BENCH_chan.json` small-ring A/B: lock-free `bounded(4)` 1p1c
-/// ran at ~0.64x of mutex). Capacities below this go to the mutex
-/// implementation *when the mode comes from the process default*;
-/// an explicit [`channel_with_mode`] still gets exactly what it
-/// asked for (the A/B benchmarks depend on that).
-const SMALL_RING_ROUTE_CAP: usize = 8;
-
-/// Creates a channel of the given capacity with the process default
-/// [`ChanMode`]. Small bounded capacities (`< 8`) are routed to the
-/// mutex core even when the default mode is lock-free — see
-/// [`SMALL_RING_ROUTE_CAP`].
+/// Creates a channel of the given capacity.
 pub fn channel<T: Send>(cap: Capacity) -> (Sender<T>, Receiver<T>) {
-    let mode = match (default_chan_mode(), cap) {
-        (ChanMode::LockFree, Capacity::Bounded(n)) if n < SMALL_RING_ROUTE_CAP => ChanMode::Mutex,
-        (mode, _) => mode,
-    };
-    channel_with_mode(cap, mode)
-}
-
-/// Creates a channel of the given capacity and an explicit
-/// [`ChanMode`]. Rendezvous channels (and `Bounded(0)`) always use
-/// the mutex implementation — they are synchronization points, not
-/// queues.
-pub fn channel_with_mode<T: Send>(cap: Capacity, mode: ChanMode) -> (Sender<T>, Receiver<T>) {
-    let imp = match (mode, cap) {
-        (ChanMode::LockFree, Capacity::Bounded(n)) if n > 0 => Imp::Ring(Ring::new(Some(n))),
-        (ChanMode::LockFree, Capacity::Unbounded) => Imp::Ring(Ring::new(None)),
-        _ => Imp::Mutex(Mutex::new(State {
-            cap,
-            queue: VecDeque::new(),
-            recv_waiters: VecDeque::new(),
-            send_waiters: VecDeque::new(),
-            senders: 1,
-            receivers: 1,
-            closed: false,
-        })),
-    };
-    let shared = Arc::new(Shared { imp });
+    let shared = Arc::new(Mutex::new(State {
+        cap,
+        queue: VecDeque::new(),
+        recv_waiters: VecDeque::new(),
+        send_waiters: VecDeque::new(),
+        senders: 1,
+        receivers: 1,
+        closed: false,
+    }));
     (
         Sender {
             shared: shared.clone(),
@@ -411,12 +296,12 @@ pub fn channel_with_mode<T: Send>(cap: Capacity, mode: ChanMode) -> (Sender<T>, 
 
 /// Sending endpoint; clone freely across tasks and threads.
 pub struct Sender<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Mutex<State<T>>>,
 }
 
 /// Receiving endpoint; clone freely across tasks and threads.
 pub struct Receiver<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Mutex<State<T>>>,
 }
 
 impl<T> std::fmt::Debug for Sender<T> {
@@ -433,39 +318,25 @@ impl<T> std::fmt::Debug for Receiver<T> {
 
 /// Debug must never contend (or self-deadlock) on the channel state:
 /// tracing a channel from inside an operation that holds the lock is
-/// legal. Uses `try_lock` with a `<locked>` fallback on the mutex
-/// implementation; the ring implementation is lock-free to begin
-/// with.
+/// legal. Uses `try_lock` with a `<locked>` fallback.
 fn debug_endpoint<T>(
     name: &str,
-    shared: &Shared<T>,
+    shared: &Mutex<State<T>>,
     f: &mut std::fmt::Formatter<'_>,
 ) -> std::fmt::Result {
-    match &shared.imp {
-        Imp::Mutex(m) => match m.try_lock() {
-            Ok(st) => f
-                .debug_struct(name)
-                .field("queued", &st.queue.len())
-                .field("closed", &st.closed)
-                .finish(),
-            Err(_) => f.debug_struct(name).field("state", &"<locked>").finish(),
-        },
-        Imp::Ring(r) => f
+    match shared.try_lock() {
+        Ok(st) => f
             .debug_struct(name)
-            .field("queued", &r.len())
-            .field("closed", &r.closed.load(Ordering::Relaxed))
+            .field("queued", &st.queue.len())
+            .field("closed", &st.closed)
             .finish(),
+        Err(_) => f.debug_struct(name).field("state", &"<locked>").finish(),
     }
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        match &self.shared.imp {
-            Imp::Mutex(m) => plock(m).senders += 1,
-            Imp::Ring(r) => {
-                r.senders.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        plock(&self.shared).senders += 1;
         Sender {
             shared: self.shared.clone(),
         }
@@ -474,12 +345,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
-        match &self.shared.imp {
-            Imp::Mutex(m) => plock(m).receivers += 1,
-            Imp::Ring(r) => {
-                r.receivers.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        plock(&self.shared).receivers += 1;
         Receiver {
             shared: self.shared.clone(),
         }
@@ -488,58 +354,25 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let mut st = plock(m);
-                st.senders -= 1;
-                if st.senders == 0 {
-                    st.wake_everyone();
-                }
-            }
-            Imp::Ring(r) => {
-                // AcqRel, Arc-style: Release orders our last sends
-                // before the count drop; Acquire on the final drop
-                // orders every peer's sends before `wake_all`.
-                // Parkers see senders == 0 through the slow-lock
-                // handoff with `wake_all` (register and drain take
-                // the same mutex).
-                if r.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    r.wake_all();
-                }
-            }
+        let mut st = plock(&self.shared);
+        st.senders -= 1;
+        if st.senders == 0 {
+            st.wake_everyone();
         }
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let mut st = plock(m);
-                st.receivers -= 1;
-                if st.receivers == 0 {
-                    st.wake_everyone();
-                }
-            }
-            Imp::Ring(r) => {
-                // AcqRel: see Sender::drop.
-                if r.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    r.wake_all();
-                }
-            }
+        let mut st = plock(&self.shared);
+        st.receivers -= 1;
+        if st.receivers == 0 {
+            st.wake_everyone();
         }
     }
 }
 
 impl<T: Send> Sender<T> {
-    /// Which core this channel actually uses (`true` = lock-free
-    /// ring). Test/bench hook for the small-capacity routing in
-    /// [`channel`].
-    #[doc(hidden)]
-    pub fn is_lock_free(&self) -> bool {
-        matches!(self.shared.imp, Imp::Ring(_))
-    }
-
     /// Sends a value according to the channel discipline.
     pub fn send(&self, value: T) -> SendFut<'_, T> {
         SendFut {
@@ -551,70 +384,18 @@ impl<T: Send> Sender<T> {
     }
 
     /// Attempts a non-waiting send.
-    ///
-    /// The closed/full distinction is checked both before and after
-    /// the enqueue attempt, so a concurrent `close` cannot be
-    /// misreported as `Full`.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let mut st = plock(m);
-                if st.send_shut() {
-                    return Err(TrySendError::Closed(value));
-                }
-                match st.cap {
-                    Capacity::Unbounded => {
-                        st.queue.push_back(value);
-                        st.wake_one_recv();
-                        Ok(())
-                    }
-                    Capacity::Bounded(n) => {
-                        if st.queue.len() < n {
-                            st.queue.push_back(value);
-                            st.wake_one_recv();
-                            Ok(())
-                        } else {
-                            Err(TrySendError::Full(value))
-                        }
-                    }
-                    Capacity::Rendezvous => {
-                        if st.recv_waiters.is_empty() {
-                            Err(TrySendError::Full(value))
-                        } else {
-                            st.queue.push_back(value);
-                            st.wake_one_recv();
-                            Ok(())
-                        }
-                    }
-                }
-            }
-            Imp::Ring(r) => {
-                if r.send_shut() {
-                    return Err(TrySendError::Closed(value));
-                }
-                match r.push_any(value) {
-                    Push::Done => {
-                        bump(&FAST_SENDS);
-                        r.after_push();
-                        Ok(())
-                    }
-                    // Busy = transiently unavailable: for a
-                    // non-waiting send that is "cannot accept now".
-                    // (A peer parked >BUSY_RETRY spins mid-op can
-                    // thus surface as Full on a ring with free
-                    // slots — a deliberate tradeoff; modeled drop
-                    // statistics fed by try_send may count a few
-                    // more drops than the mutex/sim cores would.)
-                    Push::Full(v) | Push::Busy(v) => {
-                        if r.send_shut() {
-                            Err(TrySendError::Closed(v))
-                        } else {
-                            Err(TrySendError::Full(v))
-                        }
-                    }
-                }
-            }
+        let mut st = plock(&self.shared);
+        if st.send_shut() {
+            return Err(TrySendError::Closed(value));
         }
+        if !st.has_room() {
+            return Err(TrySendError::Full(value));
+        }
+        st.queue.push_back(value);
+        st.wake_one_recv();
+        bump(&FAST_SENDS);
+        Ok(())
     }
 
     /// Enqueues the items of `buf` in order, waking the receiving
@@ -622,8 +403,8 @@ impl<T: Send> Sender<T> {
     /// the send-side analogue of [`Receiver::recv_many`], and the
     /// submission primitive behind pipelined request ports.
     ///
-    /// Stops at the first item the channel cannot accept (full ring
-    /// or closed channel); unsent items remain at the front of `buf`.
+    /// Stops at the first item the channel cannot accept (full or
+    /// closed channel); unsent items remain at the front of `buf`.
     /// Returns how many items were enqueued.
     pub fn try_send_many(&self, buf: &mut VecDeque<T>) -> usize {
         let mut n = 0usize;
@@ -652,15 +433,12 @@ impl<T: Send> Sender<T> {
 
     /// Returns `true` if the channel can no longer deliver sends.
     pub fn is_closed(&self) -> bool {
-        match &self.shared.imp {
-            Imp::Mutex(m) => plock(m).send_shut(),
-            Imp::Ring(r) => r.send_shut(),
-        }
+        plock(&self.shared).send_shut()
     }
 
     /// Number of buffered messages.
     pub fn len(&self) -> usize {
-        shared_len(&self.shared)
+        plock(&self.shared).queue.len()
     }
 
     /// Returns `true` if no messages are buffered.
@@ -686,49 +464,14 @@ impl<T: Send> Receiver<T> {
 
     /// Attempts a non-waiting receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let mut st = plock(m);
-                if let Some(v) = st.queue.pop_front() {
-                    st.wake_one_send();
-                    return Ok(v);
-                }
-                if let Some(v) = take_from_parked_sender(&mut st) {
-                    return Ok(v);
-                }
-                if st.drained_shut() {
-                    Err(TryRecvError::Closed)
-                } else {
-                    Err(TryRecvError::Empty)
-                }
+        let mut st = plock(&self.shared);
+        match st.pop() {
+            Some(v) => {
+                bump(&FAST_RECVS);
+                Ok(v)
             }
-            Imp::Ring(r) => {
-                match r.pop_any() {
-                    Popped::Got(v) => {
-                        bump(&FAST_RECVS);
-                        r.after_pop(1);
-                        return Ok(v);
-                    }
-                    Popped::Busy => return Err(TryRecvError::Empty),
-                    Popped::Empty => {}
-                }
-                if r.recv_shut_flags() {
-                    // Flags seen *before* a pop attempt would race a
-                    // final in-flight send; re-pop after the flags.
-                    match r.pop_any() {
-                        Popped::Got(v) => {
-                            bump(&FAST_RECVS);
-                            r.after_pop(1);
-                            Ok(v)
-                        }
-                        // A final send is still materializing.
-                        Popped::Busy => Err(TryRecvError::Empty),
-                        Popped::Empty => Err(TryRecvError::Closed),
-                    }
-                } else {
-                    Err(TryRecvError::Empty)
-                }
-            }
+            None if st.drained_shut() => Err(TryRecvError::Closed),
+            None => Err(TryRecvError::Empty),
         }
     }
 
@@ -737,17 +480,7 @@ impl<T: Send> Receiver<T> {
     /// channel is closed — use [`Receiver::try_recv`] to
     /// distinguish).
     pub fn try_recv_many(&self, buf: &mut Vec<T>, max: usize) -> usize {
-        let n = match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let mut st = plock(m);
-                mutex_drain(&mut st, buf, max)
-            }
-            Imp::Ring(r) => {
-                let (n, _busy) = r.drain_into(buf, max);
-                r.after_pop(n);
-                n
-            }
-        };
+        let n = plock(&self.shared).drain(buf, max);
         if n > 0 {
             bump(&RECV_MANY_CALLS);
             RECV_MANY_MSGS.fetch_add(n as u64, Ordering::Relaxed);
@@ -782,7 +515,7 @@ impl<T: Send> Receiver<T> {
 
     /// Number of buffered messages.
     pub fn len(&self) -> usize {
-        shared_len(&self.shared)
+        plock(&self.shared).queue.len()
     }
 
     /// Returns `true` if no messages are buffered.
@@ -796,43 +529,19 @@ impl<T: Send> Receiver<T> {
     }
 }
 
-fn close_shared<T>(shared: &Shared<T>) {
-    match &shared.imp {
-        Imp::Mutex(m) => {
-            let mut st = plock(m);
-            st.closed = true;
-            st.wake_everyone();
-        }
-        Imp::Ring(r) => {
-            // Release suffices: a parker that misses this store in
-            // its flag re-check registered before `wake_all` drained
-            // the waiter list (both take the slow mutex), so the
-            // drain wakes it; one that registers after the drain
-            // locks the mutex after us and the lock handoff makes
-            // the store visible.
-            r.closed.store(true, Ordering::Release);
-            r.wake_all();
-        }
-    }
-}
-
-fn shared_len<T>(shared: &Shared<T>) -> usize {
-    match &shared.imp {
-        Imp::Mutex(m) => plock(m).queue.len(),
-        Imp::Ring(r) => r.len(),
-    }
+fn close_shared<T>(shared: &Mutex<State<T>>) {
+    let mut st = plock(shared);
+    st.closed = true;
+    st.wake_everyone();
 }
 
 // ---------------------------------------------------------------------------
-// Mutex implementation (ChanMode::Mutex + Rendezvous).
+// Channel state.
 // ---------------------------------------------------------------------------
 
 struct RecvWaiter {
     id: u64,
     waker: Waker,
-    /// Limit for `recv_many` waiters (usize::MAX for plain `recv`);
-    /// informational only — the woken future drains for itself.
-    _max: usize,
 }
 
 struct SendEntry<T> {
@@ -887,644 +596,103 @@ impl<T> State<T> {
     fn send_shut(&self) -> bool {
         self.closed || self.receivers == 0
     }
-}
 
-fn take_from_parked_sender<T>(st: &mut State<T>) -> Option<T> {
-    for e in st.send_waiters.iter_mut() {
-        if let Some(v) = e.value.take() {
-            e.taken = true;
-            e.waker.wake_by_ref();
+    /// Can a send enqueue right now? A rendezvous send can only when
+    /// a receiver is parked to take the value.
+    fn has_room(&self) -> bool {
+        match self.cap {
+            Capacity::Unbounded => true,
+            Capacity::Bounded(n) => self.queue.len() < n,
+            Capacity::Rendezvous => !self.recv_waiters.is_empty(),
+        }
+    }
+
+    /// Takes the next message: the queue head (waking one
+    /// space-waiter), else a parked rendezvous sender's value.
+    fn pop(&mut self) -> Option<T> {
+        if let Some(v) = self.queue.pop_front() {
+            self.wake_one_send();
             return Some(v);
         }
-    }
-    None
-}
-
-/// Drains up to `max` messages (queued, then parked rendezvous
-/// senders) under the already-held lock, then wakes one *distinct*
-/// space-waiter per freed slot. (Waking the front entry per pop, as
-/// single receives do, would collapse into one effective wake here:
-/// the front sender cannot repoll-and-deregister while we hold the
-/// lock.)
-fn mutex_drain<T>(st: &mut State<T>, buf: &mut Vec<T>, max: usize) -> usize {
-    let mut n = 0;
-    let mut freed = 0;
-    while n < max {
-        if let Some(v) = st.queue.pop_front() {
-            freed += 1;
-            buf.push(v);
-            n += 1;
-            continue;
-        }
-        if let Some(v) = take_from_parked_sender(st) {
-            buf.push(v);
-            n += 1;
-            continue;
-        }
-        break;
-    }
-    for e in st.send_waiters.iter().take(freed) {
-        bump(&SEND_WAKES);
-        e.waker.wake_by_ref();
-    }
-    n
-}
-
-fn deregister_recv<T>(st: &mut State<T>, waiter_id: &mut Option<u64>) {
-    if let Some(id) = waiter_id.take() {
-        st.recv_waiters.retain(|w| w.id != id);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free ring implementation.
-// ---------------------------------------------------------------------------
-
-/// Physical ring size of the unbounded head segment; bursts deeper
-/// than this spill into the mutex-guarded overflow deque.
-const UNBOUNDED_SEG: usize = 256;
-
-/// Fast-path retries before a future takes the slow (parking) path.
-const SPIN_TRIES: usize = 4;
-
-// (A task-level yield-before-park variant — self-waking through the
-// run queue a couple of times before registering — was measured
-// slower across the whole matrix on the 1-CPU dev box: every park
-// became three dispatches, multiplied by per-message ping-pong.
-// Parking immediately after the inline spin wins there.)
-
-/// Internal retries inside one ring op while a peer is mid-operation
-/// (ticket claimed, slot not yet published) before reporting `Busy`.
-/// Unbounded spinning here would burn a whole scheduler quantum
-/// whenever the peer is preempted between claim and publish.
-const BUSY_RETRY: usize = 32;
-
-/// Outcome of one ring push attempt.
-enum Push<T> {
-    /// Enqueued.
-    Done,
-    /// Ring full of unconsumed values.
-    Full(T),
-    /// A peer is mid-operation; transiently unavailable.
-    Busy(T),
-}
-
-/// Outcome of one ring/overflow pop attempt.
-enum Popped<T> {
-    /// Dequeued.
-    Got(T),
-    /// Nothing buffered.
-    Empty,
-    /// A push is mid-flight; a message is about to appear.
-    Busy,
-}
-
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-struct Slot<T> {
-    /// Lap stamp: `ticket` = writable this lap, `ticket + 1` =
-    /// readable, `ticket + one_lap` = writable next lap.
-    stamp: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-struct Waiters {
-    recv: VecDeque<RecvWaiter>,
-    send: VecDeque<(u64, Waker)>,
-}
-
-/// The Vyukov-style bounded slot ring, doubling as the head segment
-/// of the unbounded queue (with `overflow` as the spill segment).
-struct Ring<T> {
-    /// Pop ticket (index | lap), on its own cache line.
-    head: CachePadded<AtomicUsize>,
-    /// Push ticket (index | lap), on its own cache line.
-    tail: CachePadded<AtomicUsize>,
-    buf: Box<[Slot<T>]>,
-    /// Logical == physical capacity of the ring.
-    cap: usize,
-    /// Power of two > cap: one full lap of tickets.
-    one_lap: usize,
-    /// `true` = `Capacity::Bounded(cap)`; `false` = unbounded with
-    /// spill.
-    bounded: bool,
-    overflow: Mutex<VecDeque<T>>,
-    /// Messages currently in `overflow`. Nonzero routes *all* new
-    /// sends into the overflow (behind the spilled ones), preserving
-    /// per-producer FIFO across the spill.
-    overflow_len: AtomicUsize,
-    /// Parked wakers — the only state behind a lock on this path,
-    /// touched exclusively when a future must wait or be woken.
-    slow: Mutex<Waiters>,
-    recv_parked: AtomicUsize,
-    send_parked: AtomicUsize,
-    senders: AtomicUsize,
-    receivers: AtomicUsize,
-    closed: AtomicBool,
-}
-
-// SAFETY: the slot protocol hands each value from exactly one pusher
-// to exactly one popper (the stamp CAS serializes ownership), so the
-// ring is Sync iff T can move between threads.
-unsafe impl<T: Send> Send for Ring<T> {}
-unsafe impl<T: Send> Sync for Ring<T> {}
-
-impl<T> Ring<T> {
-    fn new(bound: Option<usize>) -> Ring<T> {
-        let cap = bound.unwrap_or(UNBOUNDED_SEG);
-        assert!(cap > 0, "ring capacity must be positive");
-        let one_lap = (cap + 1).next_power_of_two();
-        let buf: Box<[Slot<T>]> = (0..cap)
-            .map(|i| Slot {
-                stamp: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        Ring {
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-            buf,
-            cap,
-            one_lap,
-            bounded: bound.is_some(),
-            overflow: Mutex::new(VecDeque::new()),
-            overflow_len: AtomicUsize::new(0),
-            slow: Mutex::new(Waiters {
-                recv: VecDeque::new(),
-                send: VecDeque::new(),
-            }),
-            recv_parked: AtomicUsize::new(0),
-            send_parked: AtomicUsize::new(0),
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-            closed: AtomicBool::new(false),
-        }
+        self.take_from_parked_sender()
     }
 
-    /// One lock-free push attempt with a bounded internal retry.
-    fn ring_push(&self, value: T) -> Push<T> {
-        let mut spins = 0usize;
-        let mut tail = self.tail.0.load(Ordering::Relaxed);
-        loop {
-            let index = tail & (self.one_lap - 1);
-            let lap = tail & !(self.one_lap - 1);
-            let slot = &self.buf[index];
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            if stamp == tail {
-                let new_tail = if index + 1 < self.cap {
-                    tail + 1
-                } else {
-                    lap.wrapping_add(self.one_lap)
-                };
-                // ordering: the ticket CAS stays SeqCst so it is
-                // globally ordered against the SeqCst fences in the
-                // full/empty probes below and in `ring_pop` — a
-                // probe's post-fence index read must not miss a
-                // ticket already claimed, or Full/Empty could be
-                // reported while an older message is in flight.
-                match self.tail.0.compare_exchange_weak(
-                    tail,
-                    new_tail,
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the ticket CAS gives us exclusive
-                        // write access to this slot for this lap.
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.stamp.store(tail.wrapping_add(1), Ordering::Release);
-                        return Push::Done;
-                    }
-                    Err(t) => tail = t,
-                }
-            } else if stamp.wrapping_add(self.one_lap) == tail.wrapping_add(1) {
-                // The slot still holds last lap's value: maybe full.
-                // ordering: SeqCst fence pairs with the head-side
-                // ticket CAS — after it, a stale `head` read cannot
-                // hide a pop that freed a slot before our stamp read.
-                fence(Ordering::SeqCst);
-                let head = self.head.0.load(Ordering::Relaxed);
-                if head.wrapping_add(self.one_lap) == tail {
-                    return Push::Full(value);
-                }
-                // A pop is mid-flight; retry briefly, then hand the
-                // wait to the parking protocol instead of burning the
-                // quantum the preempted peer needs.
-                spins += 1;
-                if spins > BUSY_RETRY {
-                    return Push::Busy(value);
-                }
-                std::hint::spin_loop();
-                tail = self.tail.0.load(Ordering::Relaxed);
-            } else {
-                spins += 1;
-                if spins > BUSY_RETRY {
-                    return Push::Busy(value);
-                }
-                std::hint::spin_loop();
-                tail = self.tail.0.load(Ordering::Relaxed);
+    fn take_from_parked_sender(&mut self) -> Option<T> {
+        for e in self.send_waiters.iter_mut() {
+            if let Some(v) = e.value.take() {
+                e.taken = true;
+                e.waker.wake_by_ref();
+                return Some(v);
             }
         }
+        None
     }
 
-    /// One lock-free pop attempt with a bounded internal retry.
-    fn ring_pop(&self) -> Popped<T> {
-        let mut spins = 0usize;
-        let mut head = self.head.0.load(Ordering::Relaxed);
-        loop {
-            let index = head & (self.one_lap - 1);
-            let lap = head & !(self.one_lap - 1);
-            let slot = &self.buf[index];
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            if stamp == head.wrapping_add(1) {
-                let new_head = if index + 1 < self.cap {
-                    head + 1
-                } else {
-                    lap.wrapping_add(self.one_lap)
-                };
-                // ordering: SeqCst for the same reason as the tail
-                // ticket CAS — the full/empty probe fences order
-                // against it.
-                match self.head.0.compare_exchange_weak(
-                    head,
-                    new_head,
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the ticket CAS gives us exclusive
-                        // read access; the stamp says it was written.
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.stamp
-                            .store(head.wrapping_add(self.one_lap), Ordering::Release);
-                        return Popped::Got(value);
-                    }
-                    Err(h) => head = h,
-                }
-            } else if stamp == head {
-                // Slot not yet written this lap: empty, unless a push
-                // claimed the ticket and is completing right now.
-                // ordering: SeqCst fence pairs with the tail-side
-                // ticket CAS — after it, a stale `tail` read cannot
-                // hide a push already claimed before our stamp read.
-                fence(Ordering::SeqCst);
-                let tail = self.tail.0.load(Ordering::Relaxed);
-                if tail == head {
-                    return Popped::Empty;
-                }
-                spins += 1;
-                if spins > BUSY_RETRY {
-                    return Popped::Busy;
-                }
-                std::hint::spin_loop();
-                head = self.head.0.load(Ordering::Relaxed);
-            } else {
-                spins += 1;
-                if spins > BUSY_RETRY {
-                    return Popped::Busy;
-                }
-                std::hint::spin_loop();
-                head = self.head.0.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Enqueues according to the discipline. `Full`/`Busy` only for
-    /// bounded; unbounded spills into the overflow deque instead.
-    fn push_any(&self, value: T) -> Push<T> {
-        if self.bounded {
-            return self.ring_push(value);
-        }
-        // Overflow nonempty ⇒ its messages predate anything we could
-        // ring-push, so everyone queues behind them until they drain.
-        // Acquire: our *own* prior spills are program-ordered, which
-        // is all per-producer FIFO needs; cross-producer visibility
-        // rides the parking-protocol fences.
-        if self.overflow_len.load(Ordering::Acquire) == 0 {
-            match self.ring_push(value) {
-                Push::Done => return Push::Done,
-                Push::Full(v) | Push::Busy(v) => return self.spill(v),
-            }
-        }
-        self.spill(value)
-    }
-
-    fn spill(&self, value: T) -> Push<T> {
-        bump(&OVERFLOW_SPILLS);
-        let mut ov = plock(&self.overflow);
-        ov.push_back(value);
-        // Release publishes the count after the deque push; readers
-        // that act on it take the overflow mutex first. A parked
-        // consumer's visibility comes from the SeqCst fence pair
-        // (spill → `after_push` fence → parked scan vs. register →
-        // fence → re-pop), not from this RMW's order.
-        self.overflow_len.fetch_add(1, Ordering::Release);
-        Push::Done
-    }
-
-    /// Dequeues from the ring, then from the overflow spill. The
-    /// overflow is consulted only on a *true* `Empty` — on `Busy` an
-    /// older ring message is still materializing, and taking a spill
-    /// message past it would break per-producer FIFO.
-    fn pop_any(&self) -> Popped<T> {
-        match self.ring_pop() {
-            Popped::Got(v) => return Popped::Got(v),
-            Popped::Busy => return Popped::Busy,
-            Popped::Empty => {}
-        }
-        // Acquire routing check; when the Dekker fences say a parked
-        // consumer must see a racing spill, they order this load too.
-        if !self.bounded && self.overflow_len.load(Ordering::Acquire) > 0 {
-            let mut ov = plock(&self.overflow);
-            // The ring drains first (its items are older); a racing
-            // consumer may have emptied the overflow meanwhile.
-            match self.ring_pop() {
-                Popped::Got(v) => return Popped::Got(v),
-                Popped::Busy => return Popped::Busy,
-                Popped::Empty => {}
-            }
-            if let Some(v) = ov.pop_front() {
-                // Release: count drops only after the pop, so a
-                // sender reading 0 races no deque mutation (the
-                // deque itself is mutex-protected).
-                self.overflow_len.fetch_sub(1, Ordering::Release);
-                return Popped::Got(v);
-            }
-        }
-        Popped::Empty
-    }
-
-    /// Drains up to `max` messages into `buf`; returns the count and
-    /// whether a push was observed mid-flight (`Busy`).
-    fn drain_into(&self, buf: &mut Vec<T>, max: usize) -> (usize, bool) {
+    /// Drains up to `max` messages (queued, then parked rendezvous
+    /// senders), then wakes one *distinct* space-waiter per freed
+    /// slot. (Waking the front entry per pop, as single receives do,
+    /// would collapse into one effective wake here: the front sender
+    /// cannot repoll-and-deregister while we hold the lock.)
+    fn drain(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
         let mut n = 0;
-        let mut busy = false;
+        let mut freed = 0;
         while n < max {
-            match self.ring_pop() {
-                Popped::Got(v) => {
-                    buf.push(v);
-                    n += 1;
-                }
-                Popped::Busy => {
-                    busy = true;
-                    break;
-                }
-                Popped::Empty => break,
+            if let Some(v) = self.queue.pop_front() {
+                freed += 1;
+                buf.push(v);
+                n += 1;
+                continue;
             }
+            if let Some(v) = self.take_from_parked_sender() {
+                buf.push(v);
+                n += 1;
+                continue;
+            }
+            break;
         }
-        if n < max && !busy && !self.bounded && self.overflow_len.load(Ordering::Acquire) > 0 {
-            let mut ov = plock(&self.overflow);
-            // Re-drain the ring *under the lock* (as `pop_any` does):
-            // between our Empty observation and acquiring the lock,
-            // another consumer may have emptied the overflow, letting
-            // producers ring-push again — ring messages are older
-            // than the spill and must come out first.
-            loop {
-                match self.ring_pop() {
-                    Popped::Got(v) => {
-                        buf.push(v);
-                        n += 1;
-                        if n == max {
-                            return (n, false);
-                        }
-                    }
-                    Popped::Busy => return (n, true),
-                    Popped::Empty => break,
-                }
-            }
-            while n < max {
-                match ov.pop_front() {
-                    Some(v) => {
-                        self.overflow_len.fetch_sub(1, Ordering::Release);
-                        buf.push(v);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        (n, busy)
-    }
-
-    // Relaxed throughout: a torn-snapshot guard (the tail re-read)
-    // plus coherence is all a count needs. The one caller that acts
-    // on `len() > 0` for correctness — the cancelled-future Drop
-    // re-issuing a consumed wake — already holds a happens-before
-    // edge to the push via the slow-lock handoff that consumed its
-    // waiter entry.
-    fn len(&self) -> usize {
-        let ring = loop {
-            let tail = self.tail.0.load(Ordering::Relaxed);
-            let head = self.head.0.load(Ordering::Relaxed);
-            if self.tail.0.load(Ordering::Relaxed) == tail {
-                let hix = head & (self.one_lap - 1);
-                let tix = tail & (self.one_lap - 1);
-                break if hix < tix {
-                    tix - hix
-                } else if hix > tix {
-                    self.cap - hix + tix
-                } else if tail == head {
-                    0
-                } else {
-                    self.cap
-                };
-            }
-        };
-        ring + self.overflow_len.load(Ordering::Relaxed)
-    }
-
-    // Acquire on the shut flags (here and in `recv_shut_flags`):
-    // pre-park reads are advisory, and the post-park re-check is
-    // ordered against `close`/last-drop by the slow-lock handoff —
-    // whichever of registration and waiter-drain came second saw the
-    // other (see `close_shared`). Acquire additionally orders the
-    // drained-queue reads that follow a `true` here.
-    fn send_shut(&self) -> bool {
-        self.closed.load(Ordering::Acquire) || self.receivers.load(Ordering::Acquire) == 0
-    }
-
-    /// Closed/disconnected flags only; the caller must re-attempt a
-    /// pop *after* reading them to conclude "drained".
-    fn recv_shut_flags(&self) -> bool {
-        self.closed.load(Ordering::Acquire) || self.senders.load(Ordering::Acquire) == 0
-    }
-
-    /// Post-push wake protocol: touch the waiter lock only when a
-    /// receiver is actually parked. The SeqCst fence pairs with the
-    /// parking side's fence (park = register → fence → re-pop), so
-    /// either we observe `recv_parked > 0` or the parker's re-pop
-    /// observes our message.
-    fn after_push(&self) {
-        // ordering: SeqCst fence + SeqCst parked scan form one half
-        // of the lost-wake Dekker; the parker's register → fence →
-        // re-pop is the other. Model-checked as `parking_model`
-        // (mutant: ProducerScanBeforePublish).
-        fence(Ordering::SeqCst);
-        if self.recv_parked.load(Ordering::SeqCst) > 0 {
-            self.wake_one_recv();
-        } else {
-            bump(&WAKES_ELIDED);
-        }
-    }
-
-    /// Post-pop wake protocol for `freed` slots (bounded
-    /// backpressure): wake one parked sender per freed slot.
-    fn after_pop(&self, freed: usize) {
-        if freed == 0 || !self.bounded {
-            return;
-        }
-        // ordering: same Dekker as `after_push`, sender side.
-        fence(Ordering::SeqCst);
-        for _ in 0..freed {
-            if self.send_parked.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            self.wake_one_send();
-        }
-    }
-
-    fn wake_one_recv(&self) {
-        let w = {
-            let mut s = plock(&self.slow);
-            let e = s.recv.pop_front();
-            if e.is_some() {
-                // ordering: the parked counters are read by the
-                // lock-free `after_push`/`after_pop` scans; every
-                // mutation stays SeqCst so a scan never reads a
-                // value that un-publishes a registration it must
-                // see (stale-high is a spurious lock, stale-low a
-                // lost wake).
-                self.recv_parked.fetch_sub(1, Ordering::SeqCst);
-            }
-            e
-        };
-        if let Some(w) = w {
-            bump(&RECV_WAKES);
-            deliver_recv_wake(w.waker);
-        }
-    }
-
-    fn wake_one_send(&self) {
-        let w = {
-            let mut s = plock(&self.slow);
-            let e = s.send.pop_front();
-            if e.is_some() {
-                // ordering: see `wake_one_recv`.
-                self.send_parked.fetch_sub(1, Ordering::SeqCst);
-            }
-            e
-        };
-        if let Some((_, w)) = w {
+        for e in self.send_waiters.iter().take(freed) {
             bump(&SEND_WAKES);
-            w.wake();
+            e.waker.wake_by_ref();
         }
+        n
     }
 
-    /// Wakes every parked waiter (close / last-endpoint-drop).
-    fn wake_all(&self) {
-        let (recvs, sends) = {
-            let mut s = plock(&self.slow);
-            // ordering: see `wake_one_recv`.
-            self.recv_parked.store(0, Ordering::SeqCst);
-            self.send_parked.store(0, Ordering::SeqCst);
-            (std::mem::take(&mut s.recv), std::mem::take(&mut s.send))
-        };
-        for w in recvs {
-            w.waker.wake();
-        }
-        for (_, w) in sends {
-            w.wake();
-        }
-    }
-
-    /// Registers (or refreshes) a parked receiver; returns `true` if
-    /// a new entry was inserted.
-    fn park_recv(&self, waiter_id: &mut Option<u64>, waker: &Waker, max: usize) -> bool {
-        let mut s = plock(&self.slow);
+    /// Registers a parked receiver, or refreshes its waker. An entry
+    /// that is gone was popped by a wake that raced this poll finding
+    /// nothing, so it is re-inserted.
+    fn park_recv(&mut self, waiter_id: &mut Option<u64>, waker: &Waker) {
         if let Some(id) = *waiter_id {
-            if let Some(e) = s.recv.iter_mut().find(|w| w.id == id) {
-                if !e.waker.will_wake(waker) {
-                    e.waker = waker.clone();
-                }
-                return false;
-            }
-        }
-        // First park, or our entry was consumed by a wake that raced
-        // this poll: (re-)insert.
-        let id = fresh_id();
-        s.recv.push_back(RecvWaiter {
-            id,
-            waker: waker.clone(),
-            _max: max,
-        });
-        *waiter_id = Some(id);
-        // ordering: the registration write of the Dekker pair — the
-        // caller's SeqCst fence and re-pop follow. See
-        // `wake_one_recv` for why all parked-counter ops are SeqCst.
-        self.recv_parked.fetch_add(1, Ordering::SeqCst);
-        true
-    }
-
-    fn park_send(&self, entry_id: &mut Option<u64>, waker: &Waker) {
-        let mut s = plock(&self.slow);
-        if let Some(id) = *entry_id {
-            if let Some((_, w)) = s.send.iter_mut().find(|(i, _)| *i == id) {
-                if !w.will_wake(waker) {
-                    *w = waker.clone();
-                }
+            if let Some(w) = self.recv_waiters.iter_mut().find(|w| w.id == id) {
+                w.waker = waker.clone();
                 return;
             }
         }
         let id = fresh_id();
-        s.send.push_back((id, waker.clone()));
-        *entry_id = Some(id);
-        // ordering: see `park_recv`.
-        self.send_parked.fetch_add(1, Ordering::SeqCst);
+        self.recv_waiters.push_back(RecvWaiter {
+            id,
+            waker: waker.clone(),
+        });
+        *waiter_id = Some(id);
     }
 
-    /// Removes a parked receiver entry; returns `true` if it was
-    /// still present (i.e. no wake was consumed on our behalf).
-    fn unpark_recv(&self, waiter_id: &mut Option<u64>) -> bool {
-        let Some(id) = waiter_id.take() else {
-            return true;
-        };
-        let mut s = plock(&self.slow);
-        let before = s.recv.len();
-        s.recv.retain(|w| w.id != id);
-        if s.recv.len() < before {
-            // ordering: see `wake_one_recv`.
-            self.recv_parked.fetch_sub(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn unpark_send(&self, entry_id: &mut Option<u64>) -> bool {
-        let Some(id) = entry_id.take() else {
-            return true;
-        };
-        let mut s = plock(&self.slow);
-        let before = s.send.len();
-        s.send.retain(|(i, _)| *i != id);
-        if s.send.len() < before {
-            // ordering: see `wake_one_recv`.
-            self.send_parked.fetch_sub(1, Ordering::SeqCst);
-            true
-        } else {
-            false
+    fn deregister_recv(&mut self, waiter_id: &mut Option<u64>) {
+        if let Some(id) = waiter_id.take() {
+            self.recv_waiters.retain(|w| w.id != id);
         }
     }
 }
 
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        // Release undelivered messages. (`Busy` is impossible here:
-        // we have exclusive access, so no push is mid-flight.)
-        while let Popped::Got(v) = self.ring_pop() {
-            drop(v);
-        }
+/// Drop half of a cancelled receive: deregister, and pass the baton
+/// if work remains for other waiters (a wake consumed on our behalf
+/// must not strand a message).
+fn cancel_recv<T>(shared: &Mutex<State<T>>, waiter_id: &mut Option<u64>) {
+    if waiter_id.is_none() {
+        return;
+    }
+    let mut st = plock(shared);
+    st.deregister_recv(waiter_id);
+    if !st.queue.is_empty() {
+        st.wake_one_recv();
     }
 }
 
@@ -1534,216 +702,105 @@ impl<T> Drop for Ring<T> {
 
 /// Future returned by [`Sender::send`]; cancel-safe.
 pub struct SendFut<'a, T> {
-    shared: &'a Shared<T>,
+    shared: &'a Mutex<State<T>>,
     value: Option<T>,
     entry_id: Option<u64>,
-    /// Ever took the slow path (for fast/slow accounting).
+    /// Ever parked (for fast/slow accounting).
     parked: bool,
 }
 
 impl<T> Unpin for SendFut<'_, T> {}
-
-impl<T: Send> Future for SendFut<'_, T> {
-    type Output = Result<(), SendError<T>>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        match &this.shared.imp {
-            Imp::Mutex(m) => poll_mutex_send(m, this, cx),
-            Imp::Ring(r) => poll_ring_send(r, this, cx),
-        }
-    }
-}
 
 fn send_done<T>(parked: bool) -> Poll<Result<(), SendError<T>>> {
     bump(if parked { &SLOW_SENDS } else { &FAST_SENDS });
     Poll::Ready(Ok(()))
 }
 
-fn poll_ring_send<T: Send>(
-    ring: &Ring<T>,
-    fut: &mut SendFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<Result<(), SendError<T>>> {
-    if ring.send_shut() {
-        ring.unpark_send(&mut fut.entry_id);
-        return Poll::Ready(Err(SendError::Closed(
-            fut.value.take().expect("unsent value present"),
-        )));
-    }
-    let mut v = fut.value.take().expect("unsent value present");
-    // Fast path, with a short spin before parking: a full ring is
-    // often one in-flight pop away from having space.
-    for _ in 0..SPIN_TRIES {
-        match ring.push_any(v) {
-            Push::Done => {
-                ring.unpark_send(&mut fut.entry_id);
-                ring.after_push();
-                return send_done(fut.parked);
-            }
-            Push::Full(back) | Push::Busy(back) => {
-                v = back;
-                std::hint::spin_loop();
-            }
-        }
-    }
-    // Slow path: park, then re-check (the Dekker pairing with
-    // `after_pop`) so a pop between our last attempt and our
-    // registration cannot strand us.
-    fut.parked = true;
-    ring.park_send(&mut fut.entry_id, cx.waker());
-    // ordering: the parker's half of the `after_pop` Dekker.
-    fence(Ordering::SeqCst);
-    match ring.push_any(v) {
-        Push::Done => {
-            // If our entry was already consumed by a wake, that wake
-            // paid for a slot someone else will also see; passing it
-            // on costs one spurious wake at most.
-            // ordering: SeqCst scan, same rules as `after_pop`'s.
-            if !ring.unpark_send(&mut fut.entry_id) && ring.send_parked.load(Ordering::SeqCst) > 0 {
-                ring.wake_one_send();
-            }
-            ring.after_push();
-            send_done(fut.parked)
-        }
-        Push::Full(back) | Push::Busy(back) => {
-            if ring.send_shut() {
-                ring.unpark_send(&mut fut.entry_id);
-                return Poll::Ready(Err(SendError::Closed(back)));
-            }
-            fut.value = Some(back);
-            Poll::Pending
-        }
-    }
-}
+impl<T: Send> Future for SendFut<'_, T> {
+    type Output = Result<(), SendError<T>>;
 
-fn poll_mutex_send<T: Send>(
-    m: &Mutex<State<T>>,
-    fut: &mut SendFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<Result<(), SendError<T>>> {
-    let mut st = plock(m);
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let fut = &mut *self;
+        let mut st = plock(fut.shared);
 
-    // Registered already?
-    if let Some(id) = fut.entry_id {
-        let pos = st.send_waiters.iter().position(|e| e.id == id);
-        match pos {
-            None => {
-                // Entry vanished: only possible after rendezvous
-                // take-and-remove... we never remove, so absent
-                // means a racing cleanup; treat as closed.
+        // Registered already?
+        if let Some(id) = fut.entry_id {
+            let Some(i) = st.send_waiters.iter().position(|e| e.id == id) else {
+                // Entries leave the list only through this future, so
+                // an absent entry means a racing cleanup; treat as
+                // closed.
                 return Poll::Ready(Err(SendError::Closed(
                     fut.value.take().expect("value retained"),
                 )));
+            };
+            if st.send_waiters[i].taken {
+                st.send_waiters.remove(i);
+                fut.entry_id = None;
+                return send_done(true);
             }
-            Some(i) => {
-                if st.send_waiters[i].taken {
+            if st.send_shut() {
+                let mut e = st.send_waiters.remove(i).expect("present");
+                fut.entry_id = None;
+                let v = e
+                    .value
+                    .take()
+                    .or_else(|| fut.value.take())
+                    .expect("waiting send holds its value");
+                return Poll::Ready(Err(SendError::Closed(v)));
+            }
+            // Bounded space-waiter: retry the commit.
+            if let Capacity::Bounded(n) = st.cap {
+                if st.queue.len() < n {
+                    let v = fut.value.take().expect("bounded keeps value in future");
+                    st.queue.push_back(v);
                     st.send_waiters.remove(i);
                     fut.entry_id = None;
+                    st.wake_one_recv();
                     return send_done(true);
                 }
-                if st.send_shut() {
-                    let mut e = st.send_waiters.remove(i).expect("present");
-                    fut.entry_id = None;
-                    let v = e
-                        .value
-                        .take()
-                        .or_else(|| fut.value.take())
-                        .expect("waiting send holds its value");
-                    return Poll::Ready(Err(SendError::Closed(v)));
-                }
-                // Bounded space-waiter: retry the commit.
-                if let Capacity::Bounded(n) = st.cap {
-                    if st.queue.len() < n {
-                        let v = fut.value.take().expect("bounded keeps value in future");
-                        st.queue.push_back(v);
-                        st.send_waiters.remove(i);
-                        fut.entry_id = None;
-                        st.wake_one_recv();
-                        return send_done(true);
-                    }
-                }
-                // Refresh the waker and keep waiting.
-                st.send_waiters[i].waker = cx.waker().clone();
-                return Poll::Pending;
             }
+            // Refresh the waker and keep waiting.
+            st.send_waiters[i].waker = cx.waker().clone();
+            return Poll::Pending;
         }
-    }
 
-    if st.send_shut() {
-        return Poll::Ready(Err(SendError::Closed(
-            fut.value.take().expect("unsent value present"),
-        )));
-    }
-    match st.cap {
-        Capacity::Unbounded => {
+        if st.send_shut() {
+            return Poll::Ready(Err(SendError::Closed(
+                fut.value.take().expect("unsent value present"),
+            )));
+        }
+        if st.has_room() {
+            // A rendezvous hands off through the queue; the woken
+            // receiver takes it.
             st.queue
                 .push_back(fut.value.take().expect("unsent value present"));
             st.wake_one_recv();
-            send_done(false)
+            return send_done(false);
         }
-        Capacity::Bounded(n) => {
-            if st.queue.len() < n {
-                st.queue
-                    .push_back(fut.value.take().expect("unsent value present"));
-                st.wake_one_recv();
-                send_done(false)
-            } else {
-                let id = fresh_id();
-                st.send_waiters.push_back(SendEntry {
-                    id,
-                    waker: cx.waker().clone(),
-                    value: None,
-                    taken: false,
-                });
-                fut.entry_id = Some(id);
-                fut.parked = true;
-                Poll::Pending
-            }
-        }
-        Capacity::Rendezvous => {
-            if !st.recv_waiters.is_empty() {
-                // Hand off through the queue; the woken receiver
-                // takes it.
-                st.queue
-                    .push_back(fut.value.take().expect("unsent value present"));
-                st.wake_one_recv();
-                return send_done(false);
-            }
-            let id = fresh_id();
-            st.send_waiters.push_back(SendEntry {
-                id,
-                waker: cx.waker().clone(),
-                value: Some(fut.value.take().expect("unsent value present")),
-                taken: false,
-            });
-            fut.entry_id = Some(id);
-            fut.parked = true;
-            Poll::Pending
-        }
+        // Park. A rendezvous sender parks with its value, which a
+        // receiver takes directly; a bounded sender keeps it and
+        // retries the commit when woken.
+        let value = match st.cap {
+            Capacity::Rendezvous => fut.value.take(),
+            _ => None,
+        };
+        let id = fresh_id();
+        st.send_waiters.push_back(SendEntry {
+            id,
+            waker: cx.waker().clone(),
+            value,
+            taken: false,
+        });
+        fut.entry_id = Some(id);
+        fut.parked = true;
+        Poll::Pending
     }
 }
 
 impl<T> Drop for SendFut<'_, T> {
     fn drop(&mut self) {
-        if self.entry_id.is_none() {
-            return;
-        }
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let id = self.entry_id.take().expect("checked");
-                let mut st = plock(m);
-                st.send_waiters.retain(|e| e.id != id);
-            }
-            Imp::Ring(r) => {
-                // If our entry was consumed, re-issue the wake: the
-                // slot it announced is still free and another waiter
-                // may be parked for it.
-                // ordering: SeqCst scan, same rules as `after_pop`'s.
-                if !r.unpark_send(&mut self.entry_id) && r.send_parked.load(Ordering::SeqCst) > 0 {
-                    r.wake_one_send();
-                }
-            }
+        if let Some(id) = self.entry_id.take() {
+            plock(self.shared).send_waiters.retain(|e| e.id != id);
         }
     }
 }
@@ -1754,170 +811,41 @@ impl<T> Drop for SendFut<'_, T> {
 
 /// Future returned by [`Receiver::recv`]; cancel-safe.
 pub struct RecvFut<'a, T> {
-    shared: &'a Shared<T>,
+    shared: &'a Mutex<State<T>>,
     waiter_id: Option<u64>,
     parked: bool,
 }
 
 impl<T> Unpin for RecvFut<'_, T> {}
 
-impl<T: Send> Future for RecvFut<'_, T> {
-    type Output = Result<T, RecvError>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        match &this.shared.imp {
-            Imp::Mutex(m) => poll_mutex_recv(m, this, cx),
-            Imp::Ring(r) => poll_ring_recv(r, this, cx),
-        }
-    }
-}
-
 fn recv_done<T>(v: T, parked: bool) -> Poll<Result<T, RecvError>> {
     bump(if parked { &SLOW_RECVS } else { &FAST_RECVS });
     Poll::Ready(Ok(v))
 }
 
-fn poll_ring_recv<T: Send>(
-    ring: &Ring<T>,
-    fut: &mut RecvFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<Result<T, RecvError>> {
-    // Fast path with a short spin (a mid-flight push publishes in a
-    // handful of instructions).
-    for _ in 0..SPIN_TRIES {
-        if let Popped::Got(v) = ring.pop_any() {
-            ring.unpark_recv(&mut fut.waiter_id);
-            ring.after_pop(1);
+impl<T: Send> Future for RecvFut<'_, T> {
+    type Output = Result<T, RecvError>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let fut = &mut *self;
+        let mut st = plock(fut.shared);
+        if let Some(v) = st.pop() {
+            st.deregister_recv(&mut fut.waiter_id);
             return recv_done(v, fut.parked);
         }
-        std::hint::spin_loop();
-    }
-    if ring.recv_shut_flags() {
-        // Shut flags read *before* this pop attempt: an `Empty`
-        // result now really is drained. (`Busy` falls through to the
-        // parking path: the in-flight message is about to land and
-        // its sender's wake protocol covers us.)
-        match ring.pop_any() {
-            Popped::Got(v) => {
-                ring.unpark_recv(&mut fut.waiter_id);
-                ring.after_pop(1);
-                return recv_done(v, fut.parked);
-            }
-            Popped::Empty => {
-                ring.unpark_recv(&mut fut.waiter_id);
-                return Poll::Ready(Err(RecvError::Closed));
-            }
-            Popped::Busy => {}
+        if st.drained_shut() {
+            st.deregister_recv(&mut fut.waiter_id);
+            return Poll::Ready(Err(RecvError::Closed));
         }
+        fut.parked = true;
+        st.park_recv(&mut fut.waiter_id, cx.waker());
+        Poll::Pending
     }
-    // Park, then re-check (paired with `after_push`'s fence).
-    fut.parked = true;
-    ring.park_recv(&mut fut.waiter_id, cx.waker(), 1);
-    // ordering: the parker's half of the `after_push` Dekker —
-    // model-checked as `parking_model` (mutant: ConsumerNoRecheck).
-    fence(Ordering::SeqCst);
-    if let Popped::Got(v) = ring.pop_any() {
-        ring.unpark_recv(&mut fut.waiter_id);
-        ring.after_pop(1);
-        return recv_done(v, fut.parked);
-    }
-    if ring.recv_shut_flags() {
-        // `close` may have drained the waiter list before we
-        // registered; never sleep through it.
-        match ring.pop_any() {
-            Popped::Got(v) => {
-                ring.unpark_recv(&mut fut.waiter_id);
-                ring.after_pop(1);
-                return recv_done(v, fut.parked);
-            }
-            Popped::Empty => {
-                ring.unpark_recv(&mut fut.waiter_id);
-                return Poll::Ready(Err(RecvError::Closed));
-            }
-            // In-flight send: its `after_push` will wake us.
-            Popped::Busy => {}
-        }
-    }
-    Poll::Pending
-}
-
-fn poll_mutex_recv<T: Send>(
-    m: &Mutex<State<T>>,
-    fut: &mut RecvFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<Result<T, RecvError>> {
-    let mut st = plock(m);
-    if let Some(v) = st.queue.pop_front() {
-        deregister_recv(&mut st, &mut fut.waiter_id);
-        st.wake_one_send();
-        return recv_done(v, fut.parked);
-    }
-    if let Some(v) = take_from_parked_sender(&mut st) {
-        deregister_recv(&mut st, &mut fut.waiter_id);
-        return recv_done(v, fut.parked);
-    }
-    if st.drained_shut() {
-        deregister_recv(&mut st, &mut fut.waiter_id);
-        return Poll::Ready(Err(RecvError::Closed));
-    }
-    fut.parked = true;
-    match fut.waiter_id {
-        Some(id) => {
-            if let Some(w) = st.recv_waiters.iter_mut().find(|w| w.id == id) {
-                w.waker = cx.waker().clone();
-            } else {
-                // We were popped by a wake that raced with this
-                // poll finding nothing; re-register.
-                let id = fresh_id();
-                st.recv_waiters.push_back(RecvWaiter {
-                    id,
-                    waker: cx.waker().clone(),
-                    _max: 1,
-                });
-                fut.waiter_id = Some(id);
-            }
-        }
-        None => {
-            let id = fresh_id();
-            st.recv_waiters.push_back(RecvWaiter {
-                id,
-                waker: cx.waker().clone(),
-                _max: 1,
-            });
-            fut.waiter_id = Some(id);
-        }
-    }
-    Poll::Pending
 }
 
 impl<T> Drop for RecvFut<'_, T> {
     fn drop(&mut self) {
-        if self.waiter_id.is_none() {
-            return;
-        }
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let id = self.waiter_id.take().expect("checked");
-                let mut st = plock(m);
-                st.recv_waiters.retain(|w| w.id != id);
-                // Pass the baton if work remains for other waiters.
-                if !st.queue.is_empty() {
-                    st.wake_one_recv();
-                }
-            }
-            Imp::Ring(r) => {
-                // A wake consumed on our behalf must be re-issued, or
-                // its message could strand with every peer parked.
-                // ordering: SeqCst scan, same rules as `after_push`'s.
-                if !r.unpark_recv(&mut self.waiter_id)
-                    && r.recv_parked.load(Ordering::SeqCst) > 0
-                    && r.len() > 0
-                {
-                    r.wake_one_recv();
-                }
-            }
-        }
+        cancel_recv(self.shared, &mut self.waiter_id);
     }
 }
 
@@ -1925,7 +853,7 @@ impl<T> Drop for RecvFut<'_, T> {
 /// to the number of messages appended to the buffer (0 = closed and
 /// drained).
 pub struct RecvManyFut<'a, T> {
-    shared: &'a Shared<T>,
+    shared: &'a Mutex<State<T>>,
     buf: &'a mut Vec<T>,
     max: usize,
     waiter_id: Option<u64>,
@@ -1934,21 +862,6 @@ pub struct RecvManyFut<'a, T> {
 
 impl<T> Unpin for RecvManyFut<'_, T> {}
 
-impl<T: Send> Future for RecvManyFut<'_, T> {
-    type Output = usize;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        if this.max == 0 {
-            return Poll::Ready(0);
-        }
-        match &this.shared.imp {
-            Imp::Mutex(m) => poll_mutex_recv_many(m, this, cx),
-            Imp::Ring(r) => poll_ring_recv_many(r, this, cx),
-        }
-    }
-}
-
 fn batch_done(n: usize, parked: bool) -> Poll<usize> {
     bump(&RECV_MANY_CALLS);
     RECV_MANY_MSGS.fetch_add(n as u64, Ordering::Relaxed);
@@ -1956,121 +869,32 @@ fn batch_done(n: usize, parked: bool) -> Poll<usize> {
     Poll::Ready(n)
 }
 
-fn poll_ring_recv_many<T: Send>(
-    ring: &Ring<T>,
-    fut: &mut RecvManyFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<usize> {
-    let (n, _) = ring.drain_into(fut.buf, fut.max);
-    if n > 0 {
-        ring.unpark_recv(&mut fut.waiter_id);
-        ring.after_pop(n);
-        return batch_done(n, fut.parked);
-    }
-    if ring.recv_shut_flags() {
-        let (n, busy) = ring.drain_into(fut.buf, fut.max);
-        if n > 0 {
-            ring.unpark_recv(&mut fut.waiter_id);
-            ring.after_pop(n);
-            return batch_done(n, fut.parked);
-        }
-        if !busy {
-            ring.unpark_recv(&mut fut.waiter_id);
-            return Poll::Ready(0);
-        }
-        // A final send is mid-flight; park for its wake below.
-    }
-    fut.parked = true;
-    ring.park_recv(&mut fut.waiter_id, cx.waker(), fut.max);
-    // ordering: the parker's half of the `after_push` Dekker.
-    fence(Ordering::SeqCst);
-    let (n, _) = ring.drain_into(fut.buf, fut.max);
-    if n > 0 {
-        ring.unpark_recv(&mut fut.waiter_id);
-        ring.after_pop(n);
-        return batch_done(n, fut.parked);
-    }
-    if ring.recv_shut_flags() {
-        let (n, busy) = ring.drain_into(fut.buf, fut.max);
-        if n > 0 {
-            ring.unpark_recv(&mut fut.waiter_id);
-            ring.after_pop(n);
-            return batch_done(n, fut.parked);
-        }
-        if !busy {
-            ring.unpark_recv(&mut fut.waiter_id);
-            return Poll::Ready(0);
-        }
-    }
-    Poll::Pending
-}
+impl<T: Send> Future for RecvManyFut<'_, T> {
+    type Output = usize;
 
-fn poll_mutex_recv_many<T: Send>(
-    m: &Mutex<State<T>>,
-    fut: &mut RecvManyFut<'_, T>,
-    cx: &mut Context<'_>,
-) -> Poll<usize> {
-    let mut st = plock(m);
-    let n = mutex_drain(&mut st, fut.buf, fut.max);
-    if n > 0 {
-        deregister_recv(&mut st, &mut fut.waiter_id);
-        return batch_done(n, fut.parked);
-    }
-    if st.drained_shut() {
-        deregister_recv(&mut st, &mut fut.waiter_id);
-        return Poll::Ready(0);
-    }
-    fut.parked = true;
-    match fut.waiter_id {
-        Some(id) => {
-            if let Some(w) = st.recv_waiters.iter_mut().find(|w| w.id == id) {
-                w.waker = cx.waker().clone();
-            } else {
-                let id = fresh_id();
-                st.recv_waiters.push_back(RecvWaiter {
-                    id,
-                    waker: cx.waker().clone(),
-                    _max: fut.max,
-                });
-                fut.waiter_id = Some(id);
-            }
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let fut = &mut *self;
+        if fut.max == 0 {
+            return Poll::Ready(0);
         }
-        None => {
-            let id = fresh_id();
-            st.recv_waiters.push_back(RecvWaiter {
-                id,
-                waker: cx.waker().clone(),
-                _max: fut.max,
-            });
-            fut.waiter_id = Some(id);
+        let mut st = plock(fut.shared);
+        let n = st.drain(fut.buf, fut.max);
+        if n > 0 {
+            st.deregister_recv(&mut fut.waiter_id);
+            return batch_done(n, fut.parked);
         }
+        if st.drained_shut() {
+            st.deregister_recv(&mut fut.waiter_id);
+            return Poll::Ready(0);
+        }
+        fut.parked = true;
+        st.park_recv(&mut fut.waiter_id, cx.waker());
+        Poll::Pending
     }
-    Poll::Pending
 }
 
 impl<T> Drop for RecvManyFut<'_, T> {
     fn drop(&mut self) {
-        if self.waiter_id.is_none() {
-            return;
-        }
-        match &self.shared.imp {
-            Imp::Mutex(m) => {
-                let id = self.waiter_id.take().expect("checked");
-                let mut st = plock(m);
-                st.recv_waiters.retain(|w| w.id != id);
-                if !st.queue.is_empty() {
-                    st.wake_one_recv();
-                }
-            }
-            Imp::Ring(r) => {
-                // ordering: SeqCst scan, same rules as `after_push`'s.
-                if !r.unpark_recv(&mut self.waiter_id)
-                    && r.recv_parked.load(Ordering::SeqCst) > 0
-                    && r.len() > 0
-                {
-                    r.wake_one_recv();
-                }
-            }
-        }
+        cancel_recv(self.shared, &mut self.waiter_id);
     }
 }

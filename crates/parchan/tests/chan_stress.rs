@@ -1,5 +1,4 @@
-//! Randomized MPMC stress for the channel core, covering both
-//! [`ChanMode`]s under both [`SchedMode`]s.
+//! Randomized MPMC stress for the channel core.
 //!
 //! Invariants checked on every run:
 //!
@@ -11,14 +10,12 @@
 //! The workload is PCG-driven so failures are reproducible from the
 //! printed seed: producers mix `send` with `try_send` retries,
 //! consumers mix `recv`, `try_recv`, and batched `recv_many`, and
-//! capacities include a non-power-of-two bound and an unbounded
-//! channel deep enough to exercise the ring→overflow spill.
+//! capacities include a non-power-of-two bound and unbounded bursts
+//! thousands of messages deep.
 
 use std::collections::HashMap;
 
-use chanos_parchan::{
-    chan_counter, channel_with_mode, Capacity, ChanMode, Runtime, SchedMode, TrySendError,
-};
+use chanos_parchan::{chan_counter, channel, Capacity, Runtime, TrySendError};
 
 /// Minimal PCG-32 (no external deps; parchan is dependency-free).
 #[derive(Clone)]
@@ -57,17 +54,9 @@ type Msg = (u32, u32);
 
 /// Runs `producers`x`consumers` over `cap` and checks the three
 /// invariants. Returns the total number of messages moved.
-fn stress(
-    mode: ChanMode,
-    sched: SchedMode,
-    cap: Capacity,
-    producers: u32,
-    consumers: u32,
-    per_producer: u32,
-    seed: u64,
-) -> u64 {
-    let rt = Runtime::with_mode(4, sched);
-    let (tx, rx) = channel_with_mode::<Msg>(cap, mode);
+fn stress(cap: Capacity, producers: u32, consumers: u32, per_producer: u32, seed: u64) -> u64 {
+    let rt = Runtime::new(4);
+    let (tx, rx) = channel::<Msg>(cap);
 
     let consumer_handles: Vec<_> = (0..consumers)
         .map(|c| {
@@ -167,222 +156,179 @@ fn stress(
     all.len() as u64
 }
 
-const MODES: [ChanMode; 2] = [ChanMode::LockFree, ChanMode::Mutex];
-const SCHEDS: [SchedMode; 2] = [SchedMode::WorkStealing, SchedMode::GlobalQueue];
-
 #[test]
-fn mpmc_bounded_all_modes() {
-    for (si, sched) in SCHEDS.into_iter().enumerate() {
-        for (mi, mode) in MODES.into_iter().enumerate() {
-            // Bounded(3): a non-power-of-two bound exercises the
-            // lap-stamp wraparound arithmetic.
-            for (ci, cap) in [
-                Capacity::Bounded(1),
-                Capacity::Bounded(3),
-                Capacity::Bounded(64),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let seed = 0xB0 + (si * 100 + mi * 10 + ci) as u64;
-                stress(mode, sched, cap, 4, 4, 300, seed);
-            }
+fn mpmc_bounded_all_caps() {
+    // Four seeds per capacity; Bounded(3) is a non-power-of-two
+    // bound.
+    for variant in [0, 10, 100, 110] {
+        for (ci, cap) in [
+            Capacity::Bounded(1),
+            Capacity::Bounded(3),
+            Capacity::Bounded(64),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            stress(cap, 4, 4, 300, 0xB0 + variant + ci as u64);
         }
     }
 }
 
 #[test]
-fn mpmc_unbounded_spills_through_overflow() {
-    let before = chan_counter("chan.overflow_spills");
-    for (si, sched) in SCHEDS.into_iter().enumerate() {
-        for (mi, mode) in MODES.into_iter().enumerate() {
-            // 4 producers x 2000 >> the 256-slot ring segment, so the
-            // spill path runs even if consumers keep up briefly.
-            let seed = 0xAB + (si * 10 + mi) as u64;
-            stress(mode, sched, Capacity::Unbounded, 4, 2, 2000, seed);
-        }
+fn mpmc_unbounded_deep_bursts_keep_fifo() {
+    // 4 producers x 2000 messages: the queue runs thousands deep
+    // whenever consumers fall behind.
+    for seed in [0xAB, 0xAC, 0xB5, 0xB6] {
+        stress(Capacity::Unbounded, 4, 2, 2000, seed);
     }
-    // The lock-free runs must actually have exercised the spill.
-    assert!(
-        chan_counter("chan.overflow_spills") > before,
-        "unbounded stress never hit the overflow segment"
-    );
 }
 
 #[test]
 fn spsc_and_fan_shapes() {
-    for mode in MODES {
-        stress(
-            mode,
-            SchedMode::WorkStealing,
-            Capacity::Bounded(8),
-            1,
-            1,
-            2000,
-            0x51,
-        );
-        stress(
-            mode,
-            SchedMode::WorkStealing,
-            Capacity::Unbounded,
-            8,
-            1,
-            250,
-            0x52,
-        );
-        stress(
-            mode,
-            SchedMode::WorkStealing,
-            Capacity::Bounded(4),
-            1,
-            8,
-            2000,
-            0x53,
-        );
-    }
+    stress(Capacity::Bounded(8), 1, 1, 2000, 0x51);
+    stress(Capacity::Unbounded, 8, 1, 250, 0x52);
+    stress(Capacity::Bounded(4), 1, 8, 2000, 0x53);
 }
 
 #[test]
 fn recv_many_batches_and_close() {
-    for mode in MODES {
-        let rt = Runtime::new(2);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Unbounded, mode);
-        let out = rt.block_on(async move {
-            for i in 0..100u32 {
-                tx.send(i).await.unwrap();
-            }
-            let mut buf = Vec::new();
-            // Drains are capped at max and preserve order.
-            let n = rx.recv_many(&mut buf, 64).await;
-            assert_eq!(n, 64);
-            let n2 = rx.recv_many(&mut buf, 64).await;
-            assert_eq!(n2, 36);
-            assert_eq!(buf, (0..100).collect::<Vec<_>>());
-            // After close-and-drain, recv_many resolves 0.
-            tx.close();
-            let n3 = rx.recv_many(&mut buf, 8).await;
-            assert_eq!(buf.len(), 100);
-            n3
-        });
-        assert_eq!(out, 0);
-        rt.shutdown();
-    }
+    let rt = Runtime::new(2);
+    let (tx, rx) = channel::<u32>(Capacity::Unbounded);
+    let out = rt.block_on(async move {
+        for i in 0..100u32 {
+            tx.send(i).await.unwrap();
+        }
+        let mut buf = Vec::new();
+        // Drains are capped at max and preserve order.
+        let n = rx.recv_many(&mut buf, 64).await;
+        assert_eq!(n, 64);
+        let n2 = rx.recv_many(&mut buf, 64).await;
+        assert_eq!(n2, 36);
+        assert_eq!(buf, (0..100).collect::<Vec<_>>());
+        // After close-and-drain, recv_many resolves 0.
+        tx.close();
+        let n3 = rx.recv_many(&mut buf, 8).await;
+        assert_eq!(buf.len(), 100);
+        n3
+    });
+    assert_eq!(out, 0);
+    rt.shutdown();
 }
 
 #[test]
 fn recv_many_wakes_on_late_send() {
-    for mode in MODES {
-        let rt = Runtime::new(2);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(8), mode);
-        let recv = rt.spawn(async move {
-            let mut buf = Vec::new();
-            let n = rx.recv_many(&mut buf, 8).await;
-            (n, buf)
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        rt.block_on(async {
-            tx.send(7).await.unwrap();
-            tx.send(8).await.unwrap();
-        });
-        let (n, buf) = recv.join_blocking().unwrap();
-        assert!(n >= 1, "a parked recv_many must wake on send");
-        assert_eq!(buf[0], 7);
-        rt.shutdown();
-    }
+    let rt = Runtime::new(2);
+    let (tx, rx) = channel::<u32>(Capacity::Bounded(8));
+    let recv = rt.spawn(async move {
+        let mut buf = Vec::new();
+        let n = rx.recv_many(&mut buf, 8).await;
+        (n, buf)
+    });
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    rt.block_on(async {
+        tx.send(7).await.unwrap();
+        tx.send(8).await.unwrap();
+    });
+    let (n, buf) = recv.join_blocking().unwrap();
+    assert!(n >= 1, "a parked recv_many must wake on send");
+    assert_eq!(buf[0], 7);
+    rt.shutdown();
 }
 
 #[test]
 fn try_recv_many_nonblocking() {
-    for mode in MODES {
-        let rt = Runtime::new(1);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(16), mode);
-        rt.block_on(async {
-            let mut buf = Vec::new();
-            assert_eq!(rx.try_recv_many(&mut buf, 4), 0);
-            for i in 0..6 {
-                tx.send(i).await.unwrap();
-            }
-            assert_eq!(rx.try_recv_many(&mut buf, 4), 4);
-            assert_eq!(rx.try_recv_many(&mut buf, 4), 2);
-            assert_eq!(buf, vec![0, 1, 2, 3, 4, 5]);
-            // Backpressure slots freed: a full channel accepts again.
-            for i in 0..16 {
-                tx.try_send(i).unwrap();
-            }
-            assert!(tx.try_send(99).is_err());
-            assert_eq!(rx.try_recv_many(&mut buf, 16), 16);
-            assert!(tx.try_send(99).is_ok());
-        });
-        rt.shutdown();
-    }
+    let rt = Runtime::new(1);
+    let (tx, rx) = channel::<u32>(Capacity::Bounded(16));
+    rt.block_on(async {
+        let mut buf = Vec::new();
+        assert_eq!(rx.try_recv_many(&mut buf, 4), 0);
+        for i in 0..6 {
+            tx.send(i).await.unwrap();
+        }
+        assert_eq!(rx.try_recv_many(&mut buf, 4), 4);
+        assert_eq!(rx.try_recv_many(&mut buf, 4), 2);
+        assert_eq!(buf, vec![0, 1, 2, 3, 4, 5]);
+        // Backpressure slots freed: a full channel accepts again.
+        for i in 0..16 {
+            tx.try_send(i).unwrap();
+        }
+        assert!(tx.try_send(99).is_err());
+        assert_eq!(rx.try_recv_many(&mut buf, 16), 16);
+        assert!(tx.try_send(99).is_ok());
+    });
+    rt.shutdown();
 }
 
 #[test]
 fn cancelled_recv_futures_pass_the_wake() {
     // A recv future that wins a wake but is dropped before polling
     // (the choose! loser case) must not strand the message.
-    for mode in MODES {
-        let rt = Runtime::with_mode(4, SchedMode::WorkStealing);
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(4), mode);
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let rx = rx.clone();
-                rt.spawn(async move {
-                    let mut got = 0u64;
-                    loop {
-                        // Race two receives; the loser's future drops
-                        // registered.
-                        let a = rx.recv();
-                        let b = rx.recv();
-                        let r = match chanos_parchan::race(a, b).await {
-                            chanos_parchan::Either::Left(r) => r,
-                            chanos_parchan::Either::Right(r) => r,
-                        };
-                        match r {
-                            Ok(_) => got += 1,
-                            Err(_) => break,
-                        }
+    let rt = Runtime::new(4);
+    let (tx, rx) = channel::<u32>(Capacity::Bounded(4));
+    let consumers: Vec<_> = (0..3)
+        .map(|_| {
+            let rx = rx.clone();
+            rt.spawn(async move {
+                let mut got = 0u64;
+                loop {
+                    // Race two receives; the loser's future drops
+                    // registered.
+                    let a = rx.recv();
+                    let b = rx.recv();
+                    let r = match chanos_parchan::race(a, b).await {
+                        chanos_parchan::Either::Left(r) => r,
+                        chanos_parchan::Either::Right(r) => r,
+                    };
+                    match r {
+                        Ok(_) => got += 1,
+                        Err(_) => break,
                     }
-                    got
-                })
+                }
+                got
             })
-            .collect();
-        drop(rx);
-        rt.block_on(async {
-            for i in 0..600u32 {
-                tx.send(i).await.unwrap();
-            }
-        });
-        drop(tx);
-        let total: u64 = consumers
-            .into_iter()
-            .map(|c| c.join_blocking().unwrap())
-            .sum();
-        assert_eq!(total, 600, "cancelled futures stranded messages");
-        rt.shutdown();
-    }
+        })
+        .collect();
+    drop(rx);
+    rt.block_on(async {
+        for i in 0..600u32 {
+            tx.send(i).await.unwrap();
+        }
+    });
+    drop(tx);
+    let total: u64 = consumers
+        .into_iter()
+        .map(|c| c.join_blocking().unwrap())
+        .sum();
+    assert_eq!(total, 600, "cancelled futures stranded messages");
+    rt.shutdown();
 }
 
 #[test]
 fn debug_never_blocks() {
-    for mode in MODES {
-        let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(2), mode);
-        tx.try_send(1).unwrap();
-        let s = format!("{tx:?} {rx:?}");
-        assert!(s.contains("Sender") && s.contains("Receiver"));
-    }
-    // Rendezvous (always mutex): Debug under a held lock must not
-    // deadlock — exercised by formatting from another thread while
-    // ops run; here the cheap smoke is that it formats at all.
-    let (tx, _rx) = channel_with_mode::<u32>(Capacity::Rendezvous, ChanMode::LockFree);
+    let (tx, rx) = channel::<u32>(Capacity::Bounded(2));
+    tx.try_send(1).unwrap();
+    let s = format!("{tx:?} {rx:?}");
+    assert!(s.contains("Sender") && s.contains("Receiver"));
+    // Debug under a held lock must not deadlock — exercised by
+    // formatting from another thread while ops run; here the cheap
+    // smoke is that a rendezvous channel formats at all.
+    let (tx, _rx) = channel::<u32>(Capacity::Rendezvous);
     let _ = format!("{tx:?}");
 }
 
 #[test]
 fn fast_path_counters_move() {
-    let before_fast = chan_counter("chan.fast_sends");
+    // Sends and receives that never park count as fast, awaited or
+    // not (ports submit through `try_send`).
+    let fast = || {
+        (
+            chan_counter("chan.fast_sends"),
+            chan_counter("chan.fast_recvs"),
+        )
+    };
+    let before = fast();
     let rt = Runtime::new(1);
-    let (tx, rx) = channel_with_mode::<u32>(Capacity::Bounded(64), ChanMode::LockFree);
+    let (tx, rx) = channel::<u32>(Capacity::Bounded(64));
     rt.block_on(async {
         for i in 0..50 {
             tx.send(i).await.unwrap();
@@ -392,9 +338,21 @@ fn fast_path_counters_move() {
         }
     });
     rt.shutdown();
+    let awaited = fast();
     assert!(
-        chan_counter("chan.fast_sends") >= before_fast + 50,
-        "uncontended bounded sends should all take the fast path"
+        awaited.0 >= before.0 + 50 && awaited.1 >= before.1 + 50,
+        "uncontended bounded sends and receives should all take the fast path"
+    );
+    for i in 0..50 {
+        tx.try_send(i).unwrap();
+    }
+    for i in 0..50 {
+        assert_eq!(rx.try_recv(), Ok(i));
+    }
+    let tried = fast();
+    assert!(
+        tried.0 >= awaited.0 + 50 && tried.1 >= awaited.1 + 50,
+        "successful try_send/try_recv should count as fast"
     );
 }
 
